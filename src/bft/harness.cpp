@@ -79,26 +79,10 @@ Bytes LogStateMachine::execute(const BufView& request, NodeId client, SeqNum seq
   return to_bytes("OK:" + std::to_string(entries_.size()));
 }
 
-Bytes LogStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));
-  for (const Bytes& e : entries_) enc.write_bytes(e);
-  return enc.take();
-}
+Bytes LogStateMachine::snapshot() const { return wire::encode(entries_); }
 
 Status LogStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t count, dec.read_uint32());
-  if (count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot entry count");
-  }
-  std::vector<Bytes> entries;
-  entries.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(Bytes e, dec.read_bytes());
-    entries.push_back(std::move(e));
-  }
-  entries_ = std::move(entries);
+  ITDOS_ASSIGN_OR_RETURN(entries_, wire::decode<std::vector<Bytes>>(snapshot));
   return Status::ok();
 }
 
@@ -122,15 +106,10 @@ Bytes CounterStateMachine::execute(const BufView& request, NodeId client, SeqNum
   return to_bytes("ERR:unknown-command");
 }
 
-Bytes CounterStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_int64(value_);
-  return enc.take();
-}
+Bytes CounterStateMachine::snapshot() const { return wire::encode(value_); }
 
 Status CounterStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
-  ITDOS_ASSIGN_OR_RETURN(value_, dec.read_int64());
+  ITDOS_ASSIGN_OR_RETURN(value_, wire::decode<std::int64_t>(snapshot));
   return Status::ok();
 }
 

@@ -4,60 +4,6 @@
 
 namespace itdos::bft {
 
-namespace {
-
-constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
-
-void write_digest(cdr::Encoder& enc, const Digest& d) {
-  enc.write_raw(crypto::digest_view(d));
-}
-
-Result<Digest> read_digest(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kDigestSize));
-  Digest d;
-  std::copy(raw.begin(), raw.end(), d.begin());
-  return d;
-}
-
-void write_mac_tag(cdr::Encoder& enc, const crypto::MacTag& t) {
-  enc.write_raw(ByteView(t.data(), t.size()));
-}
-
-Result<crypto::MacTag> read_mac_tag(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kMacTagSize));
-  crypto::MacTag t;
-  std::copy(raw.begin(), raw.end(), t.begin());
-  return t;
-}
-
-void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
-  enc.write_raw(ByteView(s.data(), s.size()));
-}
-
-Result<crypto::Signature> read_signature(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kSignatureSize));
-  crypto::Signature s;
-  std::copy(raw.begin(), raw.end(), s.begin());
-  return s;
-}
-
-Status check_exhausted(const cdr::Decoder& dec, const char* what) {
-  if (!dec.exhausted()) {
-    return error(Errc::kMalformedMessage, std::string("trailing bytes in ") + what);
-  }
-  return Status::ok();
-}
-
-/// Guards counted loops against hostile counts that exceed the buffer.
-Status check_count(const cdr::Decoder& dec, std::uint32_t count, const char* what) {
-  if (count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, std::string("hostile count in ") + what);
-  }
-  return Status::ok();
-}
-
-}  // namespace
-
 std::string_view msg_type_name(MsgType t) {
   switch (t) {
     case MsgType::kRequest: return "REQUEST";
@@ -74,332 +20,63 @@ std::string_view msg_type_name(MsgType t) {
   return "<?>";
 }
 
-Bytes RequestMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(client.value);
-  enc.write_uint64(timestamp);
-  enc.write_bytes(payload);
-  return enc.take();
-}
-
+Bytes RequestMsg::encode() const { return wire::encode(*this); }
 Result<RequestMsg> RequestMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  RequestMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t client, dec.read_uint64());
-  msg.client = NodeId(client);
-  ITDOS_ASSIGN_OR_RETURN(msg.timestamp, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(msg.payload, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "REQUEST"));
-  return msg;
+  return wire::decode<RequestMsg>(data);
 }
-
 Digest RequestMsg::digest() const { return crypto::sha256(ByteView(encode())); }
 
-Bytes PrePrepareMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(view.value);
-  enc.write_uint64(seq.value);
-  write_digest(enc, req_digest);
-  enc.write_boolean(is_batch);
-  enc.write_bytes(request);
-  return enc.take();
-}
-
+Bytes PrePrepareMsg::encode() const { return wire::encode(*this); }
 Result<PrePrepareMsg> PrePrepareMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  PrePrepareMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(msg.is_batch, dec.read_boolean());
-  ITDOS_ASSIGN_OR_RETURN(msg.request, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "PRE-PREPARE"));
-  return msg;
+  return wire::decode<PrePrepareMsg>(data);
 }
 
-namespace {
-/// PREPARE and COMMIT share a body shape.
-template <typename T>
-Bytes encode_phase(const T& msg) {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(msg.view.value);
-  enc.write_uint64(msg.seq.value);
-  write_digest(enc, msg.req_digest);
-  enc.write_uint64(msg.replica.value);
-  return enc.take();
-}
-
-template <typename T>
-Result<T> decode_phase(ByteView data, const char* what) {
-  cdr::Decoder dec(data, kWire);
-  T msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, what));
-  return msg;
-}
-}  // namespace
-
-Bytes PrepareMsg::encode() const { return encode_phase(*this); }
+Bytes PrepareMsg::encode() const { return wire::encode(*this); }
 Result<PrepareMsg> PrepareMsg::decode(ByteView data) {
-  return decode_phase<PrepareMsg>(data, "PREPARE");
+  return wire::decode<PrepareMsg>(data);
 }
 
-Bytes CommitMsg::encode() const { return encode_phase(*this); }
-Result<CommitMsg> CommitMsg::decode(ByteView data) {
-  return decode_phase<CommitMsg>(data, "COMMIT");
-}
+Bytes CommitMsg::encode() const { return wire::encode(*this); }
+Result<CommitMsg> CommitMsg::decode(ByteView data) { return wire::decode<CommitMsg>(data); }
 
-Bytes ReplyMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(view.value);
-  enc.write_uint64(timestamp);
-  enc.write_uint64(client.value);
-  enc.write_uint64(replica.value);
-  enc.write_bytes(result);
-  return enc.take();
-}
+Bytes ReplyMsg::encode() const { return wire::encode(*this); }
+Result<ReplyMsg> ReplyMsg::decode(ByteView data) { return wire::decode<ReplyMsg>(data); }
 
-Result<ReplyMsg> ReplyMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  ReplyMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(msg.timestamp, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t client, dec.read_uint64());
-  msg.client = NodeId(client);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_ASSIGN_OR_RETURN(msg.result, dec.read_bytes());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "REPLY"));
-  return msg;
-}
-
-Bytes CheckpointMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(seq.value);
-  write_digest(enc, state_digest);
-  enc.write_uint64(replica.value);
-  return enc.take();
-}
-
+Bytes CheckpointMsg::encode() const { return wire::encode(*this); }
 Result<CheckpointMsg> CheckpointMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  CheckpointMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.state_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "CHECKPOINT"));
-  return msg;
+  return wire::decode<CheckpointMsg>(data);
 }
 
-namespace {
-void encode_prepared_proof(cdr::Encoder& enc, const PreparedProof& p) {
-  enc.write_uint64(p.view.value);
-  enc.write_uint64(p.seq.value);
-  write_digest(enc, p.req_digest);
-  enc.write_boolean(p.is_batch);
-  enc.write_bytes(p.request);
-}
-
-Result<PreparedProof> decode_prepared_proof(cdr::Decoder& dec) {
-  PreparedProof p;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  p.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  p.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(p.req_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(p.is_batch, dec.read_boolean());
-  ITDOS_ASSIGN_OR_RETURN(p.request, dec.read_bytes_view());
-  return p;
-}
-}  // namespace
-
-Bytes ViewChangeMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(new_view.value);
-  enc.write_uint64(stable_seq.value);
-  write_digest(enc, stable_digest);
-  enc.write_uint32(static_cast<std::uint32_t>(prepared.size()));
-  for (const PreparedProof& p : prepared) encode_prepared_proof(enc, p);
-  enc.write_uint64(replica.value);
-  return enc.take();
-}
-
+Bytes ViewChangeMsg::encode() const { return wire::encode(*this); }
 Result<ViewChangeMsg> ViewChangeMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ViewChangeMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.new_view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t stable, dec.read_uint64());
-  msg.stable_seq = SeqNum(stable);
-  ITDOS_ASSIGN_OR_RETURN(msg.stable_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t count, dec.read_uint32());
-  ITDOS_RETURN_IF_ERROR(check_count(dec, count, "VIEW-CHANGE"));
-  msg.prepared.reserve(count);
-  for (std::uint32_t i = 0; i < count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(PreparedProof p, decode_prepared_proof(dec));
-    msg.prepared.push_back(std::move(p));
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "VIEW-CHANGE"));
-  return msg;
+  return wire::decode<ViewChangeMsg>(data);
 }
 
-Bytes NewViewMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(view.value);
-  enc.write_uint32(static_cast<std::uint32_t>(view_changes.size()));
-  for (const SignedViewChange& svc : view_changes) {
-    enc.write_bytes(svc.msg.encode());
-    write_signature(enc, svc.signature);
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(pre_prepares.size()));
-  for (const PrePrepareMsg& pp : pre_prepares) {
-    enc.write_bytes(pp.encode());
-  }
-  enc.write_uint64(primary.value);
-  return enc.take();
-}
-
+Bytes NewViewMsg::encode() const { return wire::encode(*this); }
 Result<NewViewMsg> NewViewMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  NewViewMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t vc_count, dec.read_uint32());
-  ITDOS_RETURN_IF_ERROR(check_count(dec, vc_count, "NEW-VIEW"));
-  msg.view_changes.reserve(vc_count);
-  for (std::uint32_t i = 0; i < vc_count; ++i) {
-    SignedViewChange svc;
-    ITDOS_ASSIGN_OR_RETURN(BufView vc_body, dec.read_bytes_view());
-    ITDOS_ASSIGN_OR_RETURN(svc.msg, ViewChangeMsg::decode(vc_body));
-    ITDOS_ASSIGN_OR_RETURN(svc.signature, read_signature(dec));
-    msg.view_changes.push_back(std::move(svc));
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t pp_count, dec.read_uint32());
-  ITDOS_RETURN_IF_ERROR(check_count(dec, pp_count, "NEW-VIEW"));
-  msg.pre_prepares.reserve(pp_count);
-  for (std::uint32_t i = 0; i < pp_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(BufView pp_body, dec.read_bytes_view());
-    ITDOS_ASSIGN_OR_RETURN(PrePrepareMsg pp, PrePrepareMsg::decode(pp_body));
-    msg.pre_prepares.push_back(std::move(pp));
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t primary, dec.read_uint64());
-  msg.primary = NodeId(primary);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "NEW-VIEW"));
-  return msg;
+  return wire::decode<NewViewMsg>(data);
 }
 
-Bytes StateRequestMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(seq.value);
-  enc.write_uint64(requester.value);
-  return enc.take();
-}
-
+Bytes StateRequestMsg::encode() const { return wire::encode(*this); }
 Result<StateRequestMsg> StateRequestMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  StateRequestMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t requester, dec.read_uint64());
-  msg.requester = NodeId(requester);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "STATE-REQ"));
-  return msg;
+  return wire::decode<StateRequestMsg>(data);
 }
 
-Bytes StateResponseMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(seq.value);
-  write_digest(enc, state_digest);
-  enc.write_bytes(snapshot);
-  enc.write_uint64(replica.value);
-  enc.write_uint64(view.value);
-  return enc.take();
-}
-
+Bytes StateResponseMsg::encode() const { return wire::encode(*this); }
 Result<StateResponseMsg> StateResponseMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  StateResponseMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t seq, dec.read_uint64());
-  msg.seq = SeqNum(seq);
-  ITDOS_ASSIGN_OR_RETURN(msg.state_digest, read_digest(dec));
-  ITDOS_ASSIGN_OR_RETURN(msg.snapshot, dec.read_bytes());
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t replica, dec.read_uint64());
-  msg.replica = NodeId(replica);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t view, dec.read_uint64());
-  msg.view = ViewId(view);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "STATE-RESP"));
-  return msg;
+  return wire::decode<StateResponseMsg>(data);
 }
 
-namespace {
-
-void encode_envelope_fields(const Envelope& env, cdr::Encoder& enc) {
-  enc.write_octet(static_cast<std::uint8_t>(env.type));
-  enc.write_uint64(env.sender.value);
-  enc.write_bytes(env.body);
-  enc.write_uint32(static_cast<std::uint32_t>(env.auth.size()));
-  for (const auto& [node, tag] : env.auth) {
-    enc.write_uint64(node.value);
-    write_mac_tag(enc, tag);
-  }
-  enc.write_boolean(env.signature.has_value());
-  if (env.signature) write_signature(enc, *env.signature);
-}
-
-}  // namespace
-
-Bytes Envelope::encode() const {
-  cdr::Encoder enc(kWire);
-  encode_envelope_fields(*this, enc);
-  return enc.take();
-}
-
-BufView Envelope::encode_into(Arena& arena) const {
-  cdr::Encoder enc(kWire, &arena);
-  encode_envelope_fields(*this, enc);
-  return enc.take_view();
-}
-
-Result<Envelope> Envelope::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  Envelope env;
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t type, dec.read_octet());
-  if (type < static_cast<std::uint8_t>(MsgType::kRequest) ||
-      type > static_cast<std::uint8_t>(MsgType::kStateResponse)) {
+Status Envelope::validate() const {
+  if (type < MsgType::kRequest || type > MsgType::kStateResponse) {
     return error(Errc::kMalformedMessage, "unknown BFT message type");
   }
-  env.type = static_cast<MsgType>(type);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t sender, dec.read_uint64());
-  env.sender = NodeId(sender);
-  ITDOS_ASSIGN_OR_RETURN(env.body, dec.read_bytes_view());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t auth_count, dec.read_uint32());
-  ITDOS_RETURN_IF_ERROR(check_count(dec, auth_count, "envelope"));
-  env.auth.reserve(auth_count);
-  for (std::uint32_t i = 0; i < auth_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t node, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(crypto::MacTag tag, read_mac_tag(dec));
-    env.auth.emplace_back(NodeId(node), tag);
-  }
-  ITDOS_ASSIGN_OR_RETURN(bool has_sig, dec.read_boolean());
-  if (has_sig) {
-    ITDOS_ASSIGN_OR_RETURN(env.signature, read_signature(dec));
-  }
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "envelope"));
-  return env;
+  return Status::ok();
 }
+
+Bytes Envelope::encode() const { return wire::encode(*this); }
+BufView Envelope::encode_into(Arena& arena) const { return wire::encode_into(*this, arena); }
+Result<Envelope> Envelope::decode(const BufView& data) { return wire::decode<Envelope>(data); }
 
 const crypto::MacTag* Envelope::tag_for(NodeId receiver) const {
   for (const auto& [node, tag] : auth) {

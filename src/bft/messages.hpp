@@ -10,7 +10,7 @@
 #include <optional>
 #include <vector>
 
-#include "cdr/codec.hpp"
+#include "cdr/wire.hpp"
 #include "common/ids.hpp"
 #include "crypto/signing.hpp"
 
@@ -41,6 +41,9 @@ struct RequestMsg {
   std::uint64_t timestamp = 0;
   BufView payload;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.client, m.timestamp, m.payload);
+  }
   bool operator==(const RequestMsg&) const = default;
   Bytes encode() const;
   static Result<RequestMsg> decode(const BufView& data);
@@ -65,6 +68,9 @@ struct PrePrepareMsg {
   BufView request;  // encoded RequestMsg (or BatchMsg); empty for null requests
 
   bool is_null_request() const { return request.empty(); }
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.seq, m.req_digest, m.is_batch, m.request);
+  }
   bool operator==(const PrePrepareMsg&) const = default;
   Bytes encode() const;
   static Result<PrePrepareMsg> decode(const BufView& data);
@@ -76,6 +82,9 @@ struct PrepareMsg {
   Digest req_digest{};
   NodeId replica;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.seq, m.req_digest, m.replica);
+  }
   bool operator==(const PrepareMsg&) const = default;
   Bytes encode() const;
   static Result<PrepareMsg> decode(ByteView data);
@@ -87,6 +96,9 @@ struct CommitMsg {
   Digest req_digest{};
   NodeId replica;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.seq, m.req_digest, m.replica);
+  }
   bool operator==(const CommitMsg&) const = default;
   Bytes encode() const;
   static Result<CommitMsg> decode(ByteView data);
@@ -99,6 +111,9 @@ struct ReplyMsg {
   NodeId replica;
   Bytes result;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.timestamp, m.client, m.replica, m.result);
+  }
   bool operator==(const ReplyMsg&) const = default;
   Bytes encode() const;
   static Result<ReplyMsg> decode(ByteView data);
@@ -109,6 +124,9 @@ struct CheckpointMsg {
   Digest state_digest{};
   NodeId replica;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.seq, m.state_digest, m.replica);
+  }
   bool operator==(const CheckpointMsg&) const = default;
   Bytes encode() const;
   static Result<CheckpointMsg> decode(ByteView data);
@@ -124,6 +142,9 @@ struct PreparedProof {
   bool is_batch = false;  // preserved so re-proposal keeps batch framing
   BufView request;  // piggybacked so the new primary can re-propose it
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.seq, m.req_digest, m.is_batch, m.request);
+  }
   bool operator==(const PreparedProof&) const = default;
 };
 
@@ -134,6 +155,9 @@ struct ViewChangeMsg {
   std::vector<PreparedProof> prepared;  // P: prepared above h
   NodeId replica;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.new_view, m.stable_seq, m.stable_digest, m.prepared, m.replica);
+  }
   bool operator==(const ViewChangeMsg&) const = default;
   Bytes encode() const;
   static Result<ViewChangeMsg> decode(const BufView& data);
@@ -144,6 +168,9 @@ struct SignedViewChange {
   ViewChangeMsg msg;
   crypto::Signature signature{};
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::encap(m.msg), m.signature);
+  }
   bool operator==(const SignedViewChange&) const = default;
 };
 
@@ -153,6 +180,10 @@ struct NewViewMsg {
   std::vector<PrePrepareMsg> pre_prepares;     // O: re-proposals for the new view
   NodeId primary;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.view, m.view_changes, wire::encap_each(m.pre_prepares),
+                        m.primary);
+  }
   bool operator==(const NewViewMsg&) const = default;
   Bytes encode() const;
   static Result<NewViewMsg> decode(const BufView& data);
@@ -162,6 +193,7 @@ struct StateRequestMsg {
   SeqNum seq;  // requester wants the checkpoint at (or after) this seq
   NodeId requester;
 
+  static auto wire_fields(auto& m) { return wire::fields(m.seq, m.requester); }
   bool operator==(const StateRequestMsg&) const = default;
   Bytes encode() const;
   static Result<StateRequestMsg> decode(ByteView data);
@@ -175,6 +207,9 @@ struct StateResponseMsg {
   ViewId view;  // sender's current view: lets a recovering replica rejoin
                 // normal operation instead of spinning in view changes
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.seq, m.state_digest, m.snapshot, m.replica, m.view);
+  }
   bool operator==(const StateResponseMsg&) const = default;
   Bytes encode() const;
   static Result<StateResponseMsg> decode(ByteView data);
@@ -189,6 +224,12 @@ struct Envelope {
   BufView body;  // zero-copy sub-view of the decoded wire buffer
   std::vector<std::pair<NodeId, crypto::MacTag>> auth;
   std::optional<crypto::Signature> signature;
+
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.type, m.sender, m.body, m.auth, m.signature);
+  }
+  /// The type octet must name a known message.
+  Status validate() const;
 
   Bytes encode() const;
 

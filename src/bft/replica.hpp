@@ -75,6 +75,9 @@ class TsWindow {
 
   bool operator==(const TsWindow&) const = default;
 
+  /// Checkpointed in the replica's client table.
+  static auto wire_fields(auto& w) { return wire::fields(w.floor_, w.sparse_); }
+
  private:
   void collapse() {
     for (;;) {
@@ -188,6 +191,11 @@ class Replica : public net::Process {
     TsWindow forwarded;  // backup: timestamps already relayed
     std::uint64_t last_timestamp = 0;        // highest executed timestamp
     std::map<std::uint64_t, Bytes> replies;  // recent ts -> cached reply
+
+    /// Snapshot layout; proposed/forwarded restart from `executed`.
+    static auto wire_fields(auto& r) {
+      return wire::fields(r.last_timestamp, r.executed, r.replies);
+    }
   };
 
   // --- message handlers ---

@@ -520,15 +520,10 @@ class PersistentSum : public orb::Servant {
     }
   }
 
-  Result<Bytes> save_state() const override {
-    cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-    enc.write_int64(total_);
-    return enc.take();
-  }
+  Result<Bytes> save_state() const override { return wire::encode(total_); }
 
   Status load_state(ByteView state) override {
-    cdr::Decoder dec(state, cdr::ByteOrder::kLittleEndian);
-    ITDOS_ASSIGN_OR_RETURN(total_, dec.read_int64());
+    ITDOS_ASSIGN_OR_RETURN(total_, wire::decode<std::int64_t>(state));
     return Status::ok();
   }
 

@@ -501,58 +501,40 @@ void DomainElement::submit_sync_point() {
   self_client_->invoke(sync.encode(), [](Result<Bytes>) {});
 }
 
+namespace {
+/// The plaintext a peer seals into a StateBundleMsg for a replacement.
+struct BundlePlain {
+  std::uint64_t consumed_index = 0;                // queue cursor captured
+  std::map<std::uint64_t, std::uint64_t> last_rid;  // conn -> last executed rid
+  std::map<ObjectId, Bytes> servant_states;        // object -> save_state()
+
+  static auto wire_fields(auto& b) {
+    return wire::fields(b.consumed_index, b.last_rid, b.servant_states);
+  }
+};
+}  // namespace
+
 Result<Bytes> DomainElement::make_bundle_plain() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint64(queue_->consumed_index());
-  enc.write_uint32(static_cast<std::uint32_t>(last_rid_.size()));
-  for (const auto& [conn, rid] : last_rid_) {
-    enc.write_uint64(conn);
-    enc.write_uint64(rid);
+  BundlePlain bundle{queue_->consumed_index(), last_rid_, {}};
+  for (const auto& [key, servant] : orb_->adapter().servants()) {
+    ITDOS_ASSIGN_OR_RETURN(bundle.servant_states[key], servant->save_state());
   }
-  const auto& servants = orb_->adapter().servants();
-  enc.write_uint32(static_cast<std::uint32_t>(servants.size()));
-  for (const auto& [key, servant] : servants) {
-    enc.write_uint64(key.value);
-    ITDOS_ASSIGN_OR_RETURN(Bytes state, servant->save_state());
-    enc.write_bytes(state);
-  }
-  return enc.take();
+  return wire::encode(bundle);
 }
 
 Status DomainElement::install_bundle_plain(ByteView plain,
                                            std::uint64_t consumed_index) {
-  cdr::Decoder dec(plain, cdr::ByteOrder::kLittleEndian);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t recorded_index, dec.read_uint64());
-  if (recorded_index != consumed_index) {
+  ITDOS_ASSIGN_OR_RETURN(BundlePlain bundle, wire::decode<BundlePlain>(plain));
+  if (bundle.consumed_index != consumed_index) {
     return error(Errc::kMalformedMessage, "bundle index mismatch");
   }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t rid_count, dec.read_uint32());
-  if (rid_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile bundle rid count");
-  }
-  std::map<std::uint64_t, std::uint64_t> rids;
-  for (std::uint32_t i = 0; i < rid_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-    rids[conn] = rid;
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t servant_count, dec.read_uint32());
-  if (servant_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile bundle servant count");
-  }
-  std::map<ObjectId, Bytes> states;
-  for (std::uint32_t i = 0; i < servant_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t key, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(Bytes state, dec.read_bytes());
-    states[ObjectId(key)] = std::move(state);
-  }
   // Apply: every bundled object must exist locally and accept the state.
-  for (const auto& [key, state] : states) {
+  for (const auto& [key, state] : bundle.servant_states) {
     ITDOS_ASSIGN_OR_RETURN(std::shared_ptr<orb::Servant> servant,
                            orb_->adapter().find(key));
     ITDOS_RETURN_IF_ERROR(servant->load_state(state));
   }
-  last_rid_ = std::move(rids);
+  last_rid_ = std::move(bundle.last_rid);
   return Status::ok();
 }
 

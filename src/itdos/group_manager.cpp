@@ -13,11 +13,7 @@ constexpr std::string_view kLog = "itdos.gm";
 }
 
 Bytes dprf_input(ConnectionId conn, KeyEpoch epoch) {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_string("itdos.commkey");
-  enc.write_uint64(conn.value);
-  enc.write_uint64(epoch.value);
-  return enc.take();
+  return wire::encode(wire::fields(std::string("itdos.commkey"), conn, epoch));
 }
 
 // ---------------------------------------------------------------------------
@@ -517,166 +513,13 @@ void GmStateMachine::expel(DomainId domain, NodeId element_smiop) {
   rekey_domain(domain);
 }
 
-Bytes GmStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint64(next_conn_);
-  enc.write_uint64(expulsions_);
-  enc.write_uint64(membership_generation_);
-  enc.write_uint32(static_cast<std::uint32_t>(conns_.size()));
-  for (const auto& [conn, record] : conns_) {
-    enc.write_uint64(record.conn.value);
-    enc.write_uint64(record.client_node.value);
-    enc.write_uint64(record.client_domain.value);
-    enc.write_uint64(record.target.value);
-    enc.write_uint64(record.epoch.value);
-    enc.write_uint64(record.member_epoch);
-    enc.write_uint32(static_cast<std::uint32_t>(record.epoch_generations.size()));
-    for (const auto& [epoch, generation] : record.epoch_generations) {
-      enc.write_uint64(epoch);
-      enc.write_uint64(generation);
-    }
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(views_.size()));
-  for (const auto& [domain, view] : views_) {
-    enc.write_uint64(domain.value);
-    enc.write_uint64(view.epoch);
-    enc.write_uint32(static_cast<std::uint32_t>(view.members.size()));
-    for (const MemberIdentity& member : view.members) {
-      enc.write_uint64(member.smiop.value);
-      enc.write_uint64(member.gm_client.value);
-    }
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(expelled_.size()));
-  for (const auto& [domain, elements] : expelled_) {
-    enc.write_uint64(domain.value);
-    enc.write_uint32(static_cast<std::uint32_t>(elements.size()));
-    for (NodeId element : elements) enc.write_uint64(element.value);
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(tallies_.size()));
-  for (const auto& [key, reporters] : tallies_) {
-    enc.write_uint64(std::get<0>(key).value);
-    enc.write_uint64(std::get<1>(key));
-    enc.write_uint64(std::get<2>(key));
-    enc.write_uint32(static_cast<std::uint32_t>(reporters.size()));
-    for (NodeId reporter : reporters) enc.write_uint64(reporter.value);
-  }
-  enc.write_uint64(policy_strikes_);
-  enc.write_uint32(static_cast<std::uint32_t>(strike_counts_.size()));
-  for (const auto& [element, strikes] : strike_counts_) {
-    enc.write_uint64(element.value);
-    enc.write_uint64(strikes);
-  }
-  return enc.take();
-}
+Bytes GmStateMachine::snapshot() const { return wire::encode(wire_fields(*this)); }
 
 Status GmStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
-  GmStateMachine fresh(directory_, keystore_, distributor_);
-  ITDOS_ASSIGN_OR_RETURN(fresh.next_conn_, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(fresh.expulsions_, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(fresh.membership_generation_, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t conn_count, dec.read_uint32());
-  if (conn_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot conn count");
-  }
-  for (std::uint32_t i = 0; i < conn_count; ++i) {
-    ConnRecord record;
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-    record.conn = ConnectionId(conn);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_node, dec.read_uint64());
-    record.client_node = NodeId(client_node);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_domain, dec.read_uint64());
-    record.client_domain = DomainId(client_domain);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t target, dec.read_uint64());
-    record.target = DomainId(target);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-    record.epoch = KeyEpoch(epoch);
-    ITDOS_ASSIGN_OR_RETURN(record.member_epoch, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint32_t history_count, dec.read_uint32());
-    if (history_count > dec.remaining()) {
-      return error(Errc::kMalformedMessage, "hostile epoch history count");
-    }
-    for (std::uint32_t j = 0; j < history_count; ++j) {
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t hist_epoch, dec.read_uint64());
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t generation, dec.read_uint64());
-      record.epoch_generations[hist_epoch] = generation;
-    }
-    fresh.conns_[record.conn] = record;
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t view_count, dec.read_uint32());
-  if (view_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot view count");
-  }
-  for (std::uint32_t i = 0; i < view_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t domain, dec.read_uint64());
-    MembershipView view;
-    ITDOS_ASSIGN_OR_RETURN(view.epoch, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint32_t member_count, dec.read_uint32());
-    if (member_count > dec.remaining()) {
-      return error(Errc::kMalformedMessage, "hostile membership view count");
-    }
-    for (std::uint32_t j = 0; j < member_count; ++j) {
-      MemberIdentity member;
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t smiop, dec.read_uint64());
-      member.smiop = NodeId(smiop);
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t gm_client, dec.read_uint64());
-      member.gm_client = NodeId(gm_client);
-      view.members.push_back(member);
-    }
-    fresh.views_.emplace(DomainId(domain), std::move(view));
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t domain_count, dec.read_uint32());
-  if (domain_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot domain count");
-  }
-  for (std::uint32_t i = 0; i < domain_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t domain, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint32_t element_count, dec.read_uint32());
-    if (element_count > dec.remaining()) {
-      return error(Errc::kMalformedMessage, "hostile snapshot element count");
-    }
-    for (std::uint32_t j = 0; j < element_count; ++j) {
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-      fresh.expelled_[DomainId(domain)].insert(NodeId(element));
-    }
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t tally_count, dec.read_uint32());
-  if (tally_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot tally count");
-  }
-  for (std::uint32_t i = 0; i < tally_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t accused, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint32_t reporter_count, dec.read_uint32());
-    if (reporter_count > dec.remaining()) {
-      return error(Errc::kMalformedMessage, "hostile snapshot reporter count");
-    }
-    auto& tally = fresh.tallies_[{NodeId(accused), conn, rid}];
-    for (std::uint32_t j = 0; j < reporter_count; ++j) {
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t reporter, dec.read_uint64());
-      tally.insert(NodeId(reporter));
-    }
-  }
-  ITDOS_ASSIGN_OR_RETURN(fresh.policy_strikes_, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t strike_count, dec.read_uint32());
-  if (strike_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile snapshot strike count");
-  }
-  for (std::uint32_t i = 0; i < strike_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t strikes, dec.read_uint64());
-    fresh.strike_counts_[NodeId(element)] = strikes;
-  }
-  next_conn_ = fresh.next_conn_;
-  expulsions_ = fresh.expulsions_;
-  membership_generation_ = fresh.membership_generation_;
-  conns_ = std::move(fresh.conns_);
-  views_ = std::move(fresh.views_);
-  expelled_ = std::move(fresh.expelled_);
-  tallies_ = std::move(fresh.tallies_);
-  policy_strikes_ = fresh.policy_strikes_;
-  strike_counts_ = std::move(fresh.strike_counts_);
+  wire::Values<decltype(wire_fields(*this))> state;
+  ITDOS_RETURN_IF_ERROR(wire::decode_into(snapshot, state));
+  wire_fields(*this) = std::move(state);
+  for (auto& [conn, record] : conns_) record.conn = conn;
   return Status::ok();
 }
 

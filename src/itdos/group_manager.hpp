@@ -50,6 +50,12 @@ struct ConnRecord {
   // before its admission rekey; pruned in lockstep with ConnTable.
   std::map<std::uint64_t, std::uint64_t> epoch_generations;
 
+  /// Snapshot layout. `conn` is the key of the GM's connection map, so it
+  /// is not repeated here.
+  static auto wire_fields(auto& r) {
+    return wire::fields(r.client_node, r.client_domain, r.target, r.epoch, r.member_epoch,
+                        r.epoch_generations);
+  }
   bool operator==(const ConnRecord&) const = default;
 };
 
@@ -60,6 +66,7 @@ struct MemberIdentity {
   NodeId smiop;
   NodeId gm_client;
 
+  static auto wire_fields(auto& m) { return wire::fields(m.smiop, m.gm_client); }
   bool operator==(const MemberIdentity&) const = default;
 };
 
@@ -72,6 +79,7 @@ struct MembershipView {
   std::uint64_t epoch = 0;              // bumped once per admitted replacement
   std::vector<MemberIdentity> members;  // by rank
 
+  static auto wire_fields(auto& v) { return wire::fields(v.epoch, v.members); }
   bool operator==(const MembershipView&) const = default;
 };
 
@@ -184,6 +192,12 @@ class GmStateMachine : public bft::StateMachine {
   // commands submitted by the recovery authority.
   std::uint64_t policy_strikes_ = 1;
   std::map<NodeId, std::uint64_t> strike_counts_;
+  /// Snapshot layout of the replicated state.
+  static auto wire_fields(auto& g) {
+    return wire::fields(g.next_conn_, g.expulsions_, g.membership_generation_, g.conns_,
+                        g.views_, g.expelled_, g.tallies_, g.policy_strikes_,
+                        g.strike_counts_);
+  }
   std::vector<ExpulsionObserver> expulsion_observers_;  // not replicated state
 };
 

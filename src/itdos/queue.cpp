@@ -214,61 +214,14 @@ void QueueStateMachine::pop() {
   ++consumed_;
 }
 
-Bytes QueueStateMachine::snapshot() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint64(base_);
-  enc.write_uint64(next_index_);
-  enc.write_uint32(static_cast<std::uint32_t>(entries_.size()));
-  for (const auto& [index, data] : entries_) {
-    enc.write_uint64(index);
-    enc.write_bytes(data);
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(acks_.size()));
-  for (const auto& [element, index] : acks_) {
-    enc.write_uint64(element.value);
-    enc.write_uint64(index);
-  }
-  enc.write_uint32(static_cast<std::uint32_t>(shed_streams_.size()));
-  for (const std::uint64_t key : shed_streams_) enc.write_uint64(key);
-  return enc.take();
-}
+Bytes QueueStateMachine::snapshot() const { return wire::encode(wire_fields(*this)); }
 
 Status QueueStateMachine::restore(ByteView snapshot) {
-  cdr::Decoder dec(snapshot, cdr::ByteOrder::kLittleEndian);
-  std::uint64_t base = 0;
-  std::uint64_t next = 0;
-  ITDOS_ASSIGN_OR_RETURN(base, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(next, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t entry_count, dec.read_uint32());
-  if (entry_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile queue entry count");
-  }
-  std::map<std::uint64_t, BufView> entries;
-  for (std::uint32_t i = 0; i < entry_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t index, dec.read_uint64());
-    // Snapshots arrive as borrowed ByteViews; entries must own their bytes.
-    ITDOS_ASSIGN_OR_RETURN(Bytes data, dec.read_bytes());
-    entries[index] = BufView(std::move(data));
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t ack_count, dec.read_uint32());
-  if (ack_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile queue ack count");
-  }
-  std::map<NodeId, std::uint64_t> acks;
-  for (std::uint32_t i = 0; i < ack_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t index, dec.read_uint64());
-    acks[NodeId(element)] = index;
-  }
-  ITDOS_ASSIGN_OR_RETURN(std::uint32_t shed_count, dec.read_uint32());
-  if (shed_count > dec.remaining()) {
-    return error(Errc::kMalformedMessage, "hostile queue shed count");
-  }
-  std::set<std::uint64_t> shed_streams;
-  for (std::uint32_t i = 0; i < shed_count; ++i) {
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t key, dec.read_uint64());
-    shed_streams.insert(key);
-  }
+  wire::Values<decltype(wire_fields(*this))> state;
+  ITDOS_RETURN_IF_ERROR(wire::decode_into(snapshot, state));
+  auto& [base, next_index, entries, acks, shed_streams] = state;
+  // Snapshots arrive as borrowed ByteViews; entries must own their bytes.
+  for (auto& [index, data] : entries) data = BufView::copy_of(data);
 
   // Virtual synchrony: we can only adopt the queue if our consumption point
   // is still inside the retained window — otherwise the entries we would
@@ -282,11 +235,7 @@ Status QueueStateMachine::restore(ByteView snapshot) {
                  "queue GC passed this element's consumption point; element "
                  "must be expelled (virtual synchrony)");
   }
-  entries_ = std::move(entries);
-  base_ = base;
-  next_index_ = next;
-  acks_ = std::move(acks);
-  shed_streams_ = std::move(shed_streams);
+  wire_fields(*this) = std::move(state);
   update_depth();
   if (bootstrap_ && consumed_ < base_) consumed_ = base_;  // placeholder cursor
   if (on_delivery_ && has_next()) on_delivery_();

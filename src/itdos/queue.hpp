@@ -160,6 +160,10 @@ class QueueStateMachine : public bft::StateMachine {
   // Fragment streams whose first fragment was shed: continuations shed too
   // (key = conn << 32 | rid). Part of replicated state (snapshot/restore).
   std::set<std::uint64_t> shed_streams_;
+  /// Snapshot layout of the replicated state.
+  static auto wire_fields(auto& q) {
+    return wire::fields(q.base_, q.next_index_, q.entries_, q.acks_, q.shed_streams_);
+  }
 
   // Element-local state:
   std::uint64_t consumed_ = 0;

@@ -56,12 +56,7 @@ const crypto::SymmetricKey* ConnTable::key_for(ConnectionId conn,
 }
 
 Bytes seal_aad(ConnectionId conn, RequestId rid, KeyEpoch epoch, bool is_reply) {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(epoch.value);
-  enc.write_boolean(is_reply);
-  return enc.take();
+  return wire::encode(wire::fields(conn, rid, epoch, is_reply));
 }
 
 // ---------------------------------------------------------------------------

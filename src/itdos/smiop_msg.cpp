@@ -1,32 +1,6 @@
 #include "itdos/smiop_msg.hpp"
 
-#include "crypto/sha256.hpp"
-
 namespace itdos::core {
-
-namespace {
-
-constexpr cdr::ByteOrder kWire = cdr::ByteOrder::kLittleEndian;
-
-void write_signature(cdr::Encoder& enc, const crypto::Signature& s) {
-  enc.write_raw(ByteView(s.data(), s.size()));
-}
-
-Result<crypto::Signature> read_signature(cdr::Decoder& dec) {
-  ITDOS_ASSIGN_OR_RETURN(Bytes raw, dec.read_raw(crypto::kSignatureSize));
-  crypto::Signature s;
-  std::copy(raw.begin(), raw.end(), s.begin());
-  return s;
-}
-
-Status check_exhausted(const cdr::Decoder& dec, const char* what) {
-  if (!dec.exhausted()) {
-    return error(Errc::kMalformedMessage, std::string("trailing bytes in ") + what);
-  }
-  return Status::ok();
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------------------
 // Queue entries
@@ -41,121 +15,31 @@ Result<QueueEntryKind> queue_entry_kind(ByteView data) {
   return static_cast<QueueEntryKind>(data[0]);
 }
 
-Bytes FragmentMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kFragment));
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(origin.value);
-  enc.write_uint64(origin_domain.value);
-  enc.write_uint64(epoch.value);
-  enc.write_uint32(index);
-  enc.write_uint32(total);
-  enc.write_bytes(chunk);
-  return enc.take();
-}
-
-Result<FragmentMsg> FragmentMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t kind, dec.read_octet());
-  if (kind != static_cast<std::uint8_t>(QueueEntryKind::kFragment)) {
-    return error(Errc::kMalformedMessage, "not a fragment entry");
-  }
-  FragmentMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  msg.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-  msg.rid = RequestId(rid);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin, dec.read_uint64());
-  msg.origin = NodeId(origin);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin_domain, dec.read_uint64());
-  msg.origin_domain = DomainId(origin_domain);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  msg.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(msg.index, dec.read_uint32());
-  ITDOS_ASSIGN_OR_RETURN(msg.total, dec.read_uint32());
-  if (msg.total == 0 || msg.total > kMaxFragments || msg.index >= msg.total) {
+Status FragmentMsg::validate() const {
+  if (total == 0 || total > kMaxFragments || index >= total) {
     return error(Errc::kMalformedMessage, "fragment indices out of range");
   }
-  ITDOS_ASSIGN_OR_RETURN(msg.chunk, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "FragmentMsg"));
-  return msg;
+  return Status::ok();
 }
 
-Bytes SyncPointMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kSyncPoint));
-  enc.write_uint64(requester.value);
-  return enc.take();
+Bytes FragmentMsg::encode() const { return wire::encode(*this); }
+Result<FragmentMsg> FragmentMsg::decode(const BufView& data) {
+  return wire::decode<FragmentMsg>(data);
 }
 
+Bytes SyncPointMsg::encode() const { return wire::encode(*this); }
 Result<SyncPointMsg> SyncPointMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t kind, dec.read_octet());
-  if (kind != static_cast<std::uint8_t>(QueueEntryKind::kSyncPoint)) {
-    return error(Errc::kMalformedMessage, "not a sync point entry");
-  }
-  SyncPointMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t requester, dec.read_uint64());
-  msg.requester = NodeId(requester);
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "SyncPointMsg"));
-  return msg;
+  return wire::decode<SyncPointMsg>(data);
 }
 
-Bytes OrderedMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kRequest));
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(origin.value);
-  enc.write_uint64(origin_domain.value);
-  enc.write_uint64(epoch.value);
-  enc.write_bytes(sealed_giop);
-  return enc.take();
-}
-
+Bytes OrderedMsg::encode() const { return wire::encode(*this); }
 Result<OrderedMsg> OrderedMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t kind, dec.read_octet());
-  if (kind != static_cast<std::uint8_t>(QueueEntryKind::kRequest)) {
-    return error(Errc::kMalformedMessage, "not a request queue entry");
-  }
-  OrderedMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  msg.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-  msg.rid = RequestId(rid);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin, dec.read_uint64());
-  msg.origin = NodeId(origin);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t origin_domain, dec.read_uint64());
-  msg.origin_domain = DomainId(origin_domain);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  msg.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(msg.sealed_giop, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "OrderedMsg"));
-  return msg;
+  return wire::decode<OrderedMsg>(data);
 }
 
-Bytes QueueAckMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(QueueEntryKind::kAck));
-  enc.write_uint64(element.value);
-  enc.write_uint64(consumed_index);
-  return enc.take();
-}
-
+Bytes QueueAckMsg::encode() const { return wire::encode(*this); }
 Result<QueueAckMsg> QueueAckMsg::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t kind, dec.read_octet());
-  if (kind != static_cast<std::uint8_t>(QueueEntryKind::kAck)) {
-    return error(Errc::kMalformedMessage, "not an ack queue entry");
-  }
-  QueueAckMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-  msg.element = NodeId(element);
-  ITDOS_ASSIGN_OR_RETURN(msg.consumed_index, dec.read_uint64());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "QueueAckMsg"));
-  return msg;
+  return wire::decode<QueueAckMsg>(data);
 }
 
 // ---------------------------------------------------------------------------
@@ -186,286 +70,37 @@ bool parses_as_smiop(ByteView data) {
   return false;
 }
 
-Bytes StateBundleMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(SmiopType::kStateBundle));
-  enc.write_uint64(domain.value);
-  enc.write_uint64(element.value);
-  enc.write_uint64(consumed_index);
-  enc.write_bytes(sealed_bundle);
-  return enc.take();
-}
-
+Bytes StateBundleMsg::encode() const { return wire::encode(*this); }
 Result<StateBundleMsg> StateBundleMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t type, dec.read_octet());
-  if (type != static_cast<std::uint8_t>(SmiopType::kStateBundle)) {
-    return error(Errc::kMalformedMessage, "not a StateBundle");
-  }
-  StateBundleMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t domain, dec.read_uint64());
-  msg.domain = DomainId(domain);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-  msg.element = NodeId(element);
-  ITDOS_ASSIGN_OR_RETURN(msg.consumed_index, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(msg.sealed_bundle, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "StateBundleMsg"));
-  return msg;
+  return wire::decode<StateBundleMsg>(data);
 }
 
 Bytes DirectReplyMsg::signed_region(ConnectionId conn, RequestId rid, NodeId element,
                                     KeyEpoch epoch, const crypto::Digest& plain_digest) {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(element.value);
-  enc.write_uint64(epoch.value);
-  enc.write_raw(crypto::digest_view(plain_digest));
-  return enc.take();
+  return wire::encode(wire::fields(conn, rid, element, epoch, plain_digest));
 }
 
-Bytes DirectReplyMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(SmiopType::kDirectReply));
-  enc.write_uint64(conn.value);
-  enc.write_uint64(rid.value);
-  enc.write_uint64(element.value);
-  enc.write_uint64(epoch.value);
-  enc.write_bytes(sealed_giop);
-  write_signature(enc, plain_signature);
-  return enc.take();
-}
-
+Bytes DirectReplyMsg::encode() const { return wire::encode(*this); }
 Result<DirectReplyMsg> DirectReplyMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t type, dec.read_octet());
-  if (type != static_cast<std::uint8_t>(SmiopType::kDirectReply)) {
-    return error(Errc::kMalformedMessage, "not a DirectReply");
-  }
-  DirectReplyMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  msg.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-  msg.rid = RequestId(rid);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-  msg.element = NodeId(element);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  msg.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(msg.sealed_giop, dec.read_bytes_view());
-  ITDOS_ASSIGN_OR_RETURN(msg.plain_signature, read_signature(dec));
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "DirectReplyMsg"));
-  return msg;
+  return wire::decode<DirectReplyMsg>(data);
 }
 
-Bytes KeyShareMsg::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_octet(static_cast<std::uint8_t>(SmiopType::kKeyShare));
-  enc.write_uint64(conn.value);
-  enc.write_uint64(epoch.value);
-  enc.write_uint64(target_domain.value);
-  enc.write_uint64(client_node.value);
-  enc.write_uint64(client_domain.value);
-  enc.write_uint32(gm_index);
-  enc.write_uint64(member_epoch);
-  enc.write_bytes(sealed_share);
-  return enc.take();
-}
-
-Bytes KeyShareMsg::framing_aad() const {
-  cdr::Encoder enc(kWire);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(epoch.value);
-  enc.write_uint64(target_domain.value);
-  enc.write_uint64(client_node.value);
-  enc.write_uint64(client_domain.value);
-  enc.write_uint32(gm_index);
-  enc.write_uint64(member_epoch);
-  return enc.take();
-}
-
+Bytes KeyShareMsg::encode() const { return wire::encode(*this); }
+Bytes KeyShareMsg::framing_aad() const { return wire::encode(framing(*this)); }
 Result<KeyShareMsg> KeyShareMsg::decode(const BufView& data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t type, dec.read_octet());
-  if (type != static_cast<std::uint8_t>(SmiopType::kKeyShare)) {
-    return error(Errc::kMalformedMessage, "not a KeyShare");
-  }
-  KeyShareMsg msg;
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  msg.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  msg.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t target, dec.read_uint64());
-  msg.target_domain = DomainId(target);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_node, dec.read_uint64());
-  msg.client_node = NodeId(client_node);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_domain, dec.read_uint64());
-  msg.client_domain = DomainId(client_domain);
-  ITDOS_ASSIGN_OR_RETURN(msg.gm_index, dec.read_uint32());
-  ITDOS_ASSIGN_OR_RETURN(msg.member_epoch, dec.read_uint64());
-  ITDOS_ASSIGN_OR_RETURN(msg.sealed_share, dec.read_bytes_view());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "KeyShareMsg"));
-  return msg;
+  return wire::decode<KeyShareMsg>(data);
 }
 
 // ---------------------------------------------------------------------------
 // Group Manager commands
 // ---------------------------------------------------------------------------
 
-namespace {
-constexpr std::uint8_t kCmdOpen = 1;
-constexpr std::uint8_t kCmdChange = 2;
-constexpr std::uint8_t kCmdResend = 3;
-constexpr std::uint8_t kCmdMembership = 4;
-constexpr std::uint8_t kCmdSetPolicy = 5;
-}  // namespace
+Bytes encode_gm_command(const GmCommand& cmd) { return wire::encode(cmd); }
+Result<GmCommand> decode_gm_command(ByteView data) { return wire::decode<GmCommand>(data); }
 
-Bytes encode_gm_command(const GmCommand& cmd) {
-  cdr::Encoder enc(kWire);
-  if (std::holds_alternative<OpenRequestMsg>(cmd)) {
-    const auto& open = std::get<OpenRequestMsg>(cmd);
-    enc.write_octet(kCmdOpen);
-    enc.write_uint64(open.client_node.value);
-    enc.write_uint64(open.client_domain.value);
-    enc.write_uint64(open.target.value);
-  } else if (std::holds_alternative<ResendSharesMsg>(cmd)) {
-    const auto& resend = std::get<ResendSharesMsg>(cmd);
-    enc.write_octet(kCmdResend);
-    enc.write_uint64(resend.conn.value);
-    enc.write_uint64(resend.requester.value);
-  } else if (std::holds_alternative<MembershipUpdateMsg>(cmd)) {
-    const auto& update = std::get<MembershipUpdateMsg>(cmd);
-    enc.write_octet(kCmdMembership);
-    enc.write_uint64(update.domain.value);
-    enc.write_uint32(update.rank);
-    enc.write_uint64(update.retired_element.value);
-    enc.write_uint64(update.admitted_element.value);
-    enc.write_uint64(update.admitted_gm_client.value);
-    enc.write_uint64(update.admitted_self_client.value);
-    enc.write_uint64(update.expected_epoch);
-  } else if (std::holds_alternative<SetResponsePolicyMsg>(cmd)) {
-    const auto& policy = std::get<SetResponsePolicyMsg>(cmd);
-    enc.write_octet(kCmdSetPolicy);
-    enc.write_uint64(policy.laggard_strikes);
-  } else {
-    const auto& change = std::get<ChangeRequestMsg>(cmd);
-    enc.write_octet(kCmdChange);
-    enc.write_uint64(change.reporter.value);
-    enc.write_uint64(change.reporter_domain.value);
-    enc.write_uint64(change.accused_domain.value);
-    enc.write_uint64(change.accused_element.value);
-    enc.write_uint64(change.conn.value);
-    enc.write_uint64(change.rid.value);
-    enc.write_uint32(static_cast<std::uint32_t>(change.proof.size()));
-    for (const ProofEntry& entry : change.proof) {
-      enc.write_uint64(entry.element.value);
-      enc.write_uint64(entry.epoch.value);
-      enc.write_bytes(entry.plain_giop);
-      write_signature(enc, entry.signature);
-    }
-  }
-  return enc.take();
-}
-
-Result<GmCommand> decode_gm_command(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  ITDOS_ASSIGN_OR_RETURN(std::uint8_t tag, dec.read_octet());
-  if (tag == kCmdOpen) {
-    OpenRequestMsg open;
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_node, dec.read_uint64());
-    open.client_node = NodeId(client_node);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t client_domain, dec.read_uint64());
-    open.client_domain = DomainId(client_domain);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t target, dec.read_uint64());
-    open.target = DomainId(target);
-    ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "OpenRequestMsg"));
-    return GmCommand(open);
-  }
-  if (tag == kCmdChange) {
-    ChangeRequestMsg change;
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t reporter, dec.read_uint64());
-    change.reporter = NodeId(reporter);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t reporter_domain, dec.read_uint64());
-    change.reporter_domain = DomainId(reporter_domain);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t accused_domain, dec.read_uint64());
-    change.accused_domain = DomainId(accused_domain);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t accused_element, dec.read_uint64());
-    change.accused_element = NodeId(accused_element);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-    change.conn = ConnectionId(conn);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t rid, dec.read_uint64());
-    change.rid = RequestId(rid);
-    ITDOS_ASSIGN_OR_RETURN(std::uint32_t count, dec.read_uint32());
-    if (count > dec.remaining()) {
-      return error(Errc::kMalformedMessage, "hostile proof count");
-    }
-    for (std::uint32_t i = 0; i < count; ++i) {
-      ProofEntry entry;
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t element, dec.read_uint64());
-      entry.element = NodeId(element);
-      ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-      entry.epoch = KeyEpoch(epoch);
-      ITDOS_ASSIGN_OR_RETURN(entry.plain_giop, dec.read_bytes());
-      ITDOS_ASSIGN_OR_RETURN(entry.signature, read_signature(dec));
-      change.proof.push_back(std::move(entry));
-    }
-    ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "ChangeRequestMsg"));
-    return GmCommand(std::move(change));
-  }
-  if (tag == kCmdResend) {
-    ResendSharesMsg resend;
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-    resend.conn = ConnectionId(conn);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t requester, dec.read_uint64());
-    resend.requester = NodeId(requester);
-    ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "ResendSharesMsg"));
-    return GmCommand(resend);
-  }
-  if (tag == kCmdMembership) {
-    MembershipUpdateMsg update;
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t domain, dec.read_uint64());
-    update.domain = DomainId(domain);
-    ITDOS_ASSIGN_OR_RETURN(update.rank, dec.read_uint32());
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t retired, dec.read_uint64());
-    update.retired_element = NodeId(retired);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t admitted, dec.read_uint64());
-    update.admitted_element = NodeId(admitted);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t gm_client, dec.read_uint64());
-    update.admitted_gm_client = NodeId(gm_client);
-    ITDOS_ASSIGN_OR_RETURN(std::uint64_t self_client, dec.read_uint64());
-    update.admitted_self_client = NodeId(self_client);
-    ITDOS_ASSIGN_OR_RETURN(update.expected_epoch, dec.read_uint64());
-    ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "MembershipUpdateMsg"));
-    return GmCommand(update);
-  }
-  if (tag == kCmdSetPolicy) {
-    SetResponsePolicyMsg policy;
-    ITDOS_ASSIGN_OR_RETURN(policy.laggard_strikes, dec.read_uint64());
-    ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "SetResponsePolicyMsg"));
-    return GmCommand(policy);
-  }
-  return error(Errc::kMalformedMessage, "unknown GM command tag");
-}
-
-Bytes GmCommandResult::encode() const {
-  cdr::Encoder enc(kWire);
-  enc.write_boolean(accepted);
-  enc.write_uint64(conn.value);
-  enc.write_uint64(epoch.value);
-  enc.write_string(detail);
-  return enc.take();
-}
-
+Bytes GmCommandResult::encode() const { return wire::encode(*this); }
 Result<GmCommandResult> GmCommandResult::decode(ByteView data) {
-  cdr::Decoder dec(data, kWire);
-  GmCommandResult result;
-  ITDOS_ASSIGN_OR_RETURN(result.accepted, dec.read_boolean());
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t conn, dec.read_uint64());
-  result.conn = ConnectionId(conn);
-  ITDOS_ASSIGN_OR_RETURN(std::uint64_t epoch, dec.read_uint64());
-  result.epoch = KeyEpoch(epoch);
-  ITDOS_ASSIGN_OR_RETURN(result.detail, dec.read_string());
-  ITDOS_RETURN_IF_ERROR(check_exhausted(dec, "GmCommandResult"));
-  return result;
+  return wire::decode<GmCommandResult>(data);
 }
 
 }  // namespace itdos::core

@@ -26,7 +26,7 @@
 #include <variant>
 #include <vector>
 
-#include "cdr/codec.hpp"
+#include "cdr/wire.hpp"
 #include "common/ids.hpp"
 #include "crypto/signing.hpp"
 #include "itdos/voting.hpp"
@@ -65,6 +65,10 @@ struct OrderedMsg {
   KeyEpoch epoch;          // communication-key epoch the payload is sealed under
   BufView sealed_giop;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<QueueEntryKind::kRequest>, m.conn, m.rid, m.origin,
+                        m.origin_domain, m.epoch, m.sealed_giop);
+  }
   bool operator==(const OrderedMsg&) const = default;
   Bytes encode() const;  // includes the QueueEntryKind tag
   /// Zero-copy: `sealed_giop` is a sub-view sharing `data`'s chunk.
@@ -89,7 +93,13 @@ struct FragmentMsg {
   std::uint32_t total = 0;   // fragments in this request
   BufView chunk;             // slice of the sealed payload (shared chunk)
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<QueueEntryKind::kFragment>, m.conn, m.rid, m.origin,
+                        m.origin_domain, m.epoch, m.index, m.total, m.chunk);
+  }
   bool operator==(const FragmentMsg&) const = default;
+  /// index < total <= kMaxFragments.
+  Status validate() const;
   Bytes encode() const;  // includes the QueueEntryKind tag
   static Result<FragmentMsg> decode(const BufView& data);
 };
@@ -102,6 +112,9 @@ struct QueueAckMsg {
   NodeId element;
   std::uint64_t consumed_index = 0;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<QueueEntryKind::kAck>, m.element, m.consumed_index);
+  }
   bool operator==(const QueueAckMsg&) const = default;
   Bytes encode() const;  // includes the QueueEntryKind tag
   static Result<QueueAckMsg> decode(ByteView data);
@@ -125,6 +138,10 @@ struct DirectReplyMsg {
   static Bytes signed_region(ConnectionId conn, RequestId rid, NodeId element,
                              KeyEpoch epoch, const crypto::Digest& plain_digest);
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<SmiopType::kDirectReply>, m.conn, m.rid, m.element,
+                        m.epoch, m.sealed_giop, m.plain_signature);
+  }
   bool operator==(const DirectReplyMsg&) const = default;
   Bytes encode() const;  // includes the SmiopType tag
   static Result<DirectReplyMsg> decode(const BufView& data);
@@ -143,6 +160,14 @@ struct KeyShareMsg {
                                    // refreshed to (0 = deal-time keys)
   BufView sealed_share;     // crypto::seal(pairwise key, DprfShare::encode())
 
+  /// The framing fields: everything but the tag and the sealed share.
+  static auto framing(auto& m) {
+    return wire::fields(m.conn, m.epoch, m.target_domain, m.client_node, m.client_domain,
+                        m.gm_index, m.member_epoch);
+  }
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<SmiopType::kKeyShare>, framing(m), m.sealed_share);
+  }
   bool operator==(const KeyShareMsg&) const = default;
   Bytes encode() const;  // includes the SmiopType tag
   /// AAD binding the framing fields into the share's seal: a share sealed
@@ -158,6 +183,9 @@ struct KeyShareMsg {
 struct SyncPointMsg {
   NodeId requester;  // SMIOP node of the replacement element
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<QueueEntryKind::kSyncPoint>, m.requester);
+  }
   bool operator==(const SyncPointMsg&) const = default;
   Bytes encode() const;  // includes the QueueEntryKind tag
   static Result<SyncPointMsg> decode(ByteView data);
@@ -173,6 +201,10 @@ struct StateBundleMsg {
   std::uint64_t consumed_index = 0;  // queue cursor the bundle captures
   BufView sealed_bundle;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(wire::tag<SmiopType::kStateBundle>, m.domain, m.element,
+                        m.consumed_index, m.sealed_bundle);
+  }
   bool operator==(const StateBundleMsg&) const = default;
   Bytes encode() const;  // includes the SmiopType tag
   static Result<StateBundleMsg> decode(const BufView& data);
@@ -196,6 +228,9 @@ struct OpenRequestMsg {
   DomainId client_domain;  // 0 for singleton
   DomainId target;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.client_node, m.client_domain, m.target);
+  }
   bool operator==(const OpenRequestMsg&) const = default;
 };
 
@@ -207,6 +242,9 @@ struct ProofEntry {
   Bytes plain_giop;
   crypto::Signature signature{};
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.element, m.epoch, m.plain_giop, m.signature);
+  }
   bool operator==(const ProofEntry&) const = default;
 };
 
@@ -221,6 +259,10 @@ struct ChangeRequestMsg {
   RequestId rid;
   std::vector<ProofEntry> proof;
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.reporter, m.reporter_domain, m.accused_domain, m.accused_element,
+                        m.conn, m.rid, m.proof);
+  }
   bool operator==(const ChangeRequestMsg&) const = default;
 };
 
@@ -233,6 +275,7 @@ struct ResendSharesMsg {
   ConnectionId conn;
   NodeId requester;  // SMIOP node to resend to
 
+  static auto wire_fields(auto& m) { return wire::fields(m.conn, m.requester); }
   bool operator==(const ResendSharesMsg&) const = default;
 };
 
@@ -251,6 +294,10 @@ struct MembershipUpdateMsg {
   NodeId admitted_self_client;     // fresh self-client identity of the element
   std::uint64_t expected_epoch = 0;  // CAS: current membership epoch
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.domain, m.rank, m.retired_element, m.admitted_element,
+                        m.admitted_gm_client, m.admitted_self_client, m.expected_epoch);
+  }
   bool operator==(const MembershipUpdateMsg&) const = default;
 };
 
@@ -266,9 +313,12 @@ struct MembershipUpdateMsg {
 struct SetResponsePolicyMsg {
   std::uint64_t laggard_strikes = 1;
 
+  static auto wire_fields(auto& m) { return wire::fields(m.laggard_strikes); }
   bool operator==(const SetResponsePolicyMsg&) const = default;
 };
 
+/// On the wire a command is one tag octet (alternative index + 1: open = 1
+/// ... set-policy = 5) followed by its fields, so new commands go last.
 using GmCommand = std::variant<OpenRequestMsg, ChangeRequestMsg, ResendSharesMsg,
                                MembershipUpdateMsg, SetResponsePolicyMsg>;
 
@@ -283,6 +333,9 @@ struct GmCommandResult {
   KeyEpoch epoch;      // epoch the shares will carry
   std::string detail;  // human-readable rejection reason
 
+  static auto wire_fields(auto& m) {
+    return wire::fields(m.accepted, m.conn, m.epoch, m.detail);
+  }
   bool operator==(const GmCommandResult&) const = default;
   Bytes encode() const;
   static Result<GmCommandResult> decode(ByteView data);

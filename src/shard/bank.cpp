@@ -1,5 +1,7 @@
 #include "shard/bank.hpp"
 
+#include "cdr/wire.hpp"
+
 namespace itdos::shard {
 
 namespace {
@@ -55,15 +57,10 @@ void AccountServant::dispatch(const std::string& operation,
   sink->reply(error(Errc::kInvalidArgument, "unknown op " + operation));
 }
 
-Result<Bytes> AccountServant::save_state() const {
-  cdr::Encoder enc(cdr::ByteOrder::kLittleEndian);
-  enc.write_int64(balance_);
-  return enc.take();
-}
+Result<Bytes> AccountServant::save_state() const { return wire::encode(balance_); }
 
 Status AccountServant::load_state(ByteView state) {
-  cdr::Decoder dec(state, cdr::ByteOrder::kLittleEndian);
-  ITDOS_ASSIGN_OR_RETURN(balance_, dec.read_int64());
+  ITDOS_ASSIGN_OR_RETURN(balance_, wire::decode<std::int64_t>(state));
   return Status::ok();
 }
 

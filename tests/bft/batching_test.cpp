@@ -238,5 +238,29 @@ TEST(BatchingTest, DisabledBatchingMatchesLegacySingleSlotPath) {
   EXPECT_EQ(cluster.replica(0).last_executed().value, 6u);  // one slot each
 }
 
+TEST(BatchingTest, StalledWindowDoesNotSpinTheHoldTimer) {
+  // Two crashed backups leave no commit quorum, so no checkpoint becomes
+  // stable and the primary's watermark window fills while ripe requests
+  // are still parked in the former. The primary must wait for a slot to
+  // free (pumped from make_stable / state-transfer install) instead of
+  // re-arming its hold timer every nanosecond.
+  ClusterOptions opts = batched_options();
+  opts.checkpoint_interval = 2;  // window of 4 slots
+  opts.batch.max_entries = 2;
+  opts.batch.max_hold_ns = micros(50);
+  Cluster cluster(opts, counter_factory());
+  cluster.crash_replica(2);
+  cluster.crash_replica(3);
+  for (int c = 0; c < 2; ++c) {
+    Client& client = cluster.add_client();
+    for (int i = 0; i < 8; ++i) client.invoke(to_bytes("add:1"), [](Result<Bytes>) {});
+  }
+  cluster.sim().run_for(millis(5));
+  ASSERT_FALSE(cluster.replica(0).in_view_change());
+  const std::uint64_t before = cluster.sim().events_executed();
+  cluster.sim().run_for(millis(1));
+  EXPECT_LT(cluster.sim().events_executed() - before, 100u);
+}
+
 }  // namespace
 }  // namespace itdos::bft

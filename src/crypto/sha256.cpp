@@ -72,6 +72,8 @@ void Sha256::compress(const std::uint8_t* block) {
 }
 
 Sha256& Sha256::update(ByteView data) {
+  // An empty view may carry a null pointer, which memcpy must never see.
+  if (data.empty()) return *this;
   total_bytes_ += data.size();
   std::size_t offset = 0;
   if (buffered_ > 0) {

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "crypto/hmac.hpp"
+
 namespace itdos::crypto {
 namespace {
 
@@ -41,6 +43,22 @@ TEST(Sha256Test, IncrementalMatchesOneShot) {
     h.update(std::string_view(msg).substr(split));
     EXPECT_EQ(h.finish(), sha256(msg)) << "split=" << split;
   }
+}
+
+TEST(Sha256Test, EmptyUpdateMidBlockIsANoOp) {
+  // An empty view (null data pointer) arriving with bytes buffered must not
+  // reach memcpy; the digest is as if it never arrived.
+  Sha256 h;
+  h.update(std::string_view("abc"));
+  h.update(ByteView{});
+  EXPECT_EQ(h.finish(), sha256("abc"));
+}
+
+TEST(Sha256Test, DeriveKeyWithEmptyInfo) {
+  // derive_key hashes label || info; an empty info takes the path above.
+  const Bytes key = to_bytes("master-key");
+  EXPECT_EQ(derive_key(key, "itdos.mac", {}),
+            digest_bytes(hmac_sha256(key, to_bytes("itdos.mac"))));
 }
 
 TEST(Sha256Test, ExactBlockSizeInputs) {

@@ -168,5 +168,16 @@ TEST(CodecTest, TruncatedPaddingRejected) {
   EXPECT_EQ(dec.read_uint32().status().code(), Errc::kMalformedMessage);
 }
 
+TEST(CodecTest, NonzeroPaddingRejected) {
+  // Encoder zero-fills padding; any other padding byte is not a canonical
+  // encoding and is refused, in either byte order.
+  for (const ByteOrder order : {ByteOrder::kLittleEndian, ByteOrder::kBigEndian}) {
+    const Bytes raw{0x01, 0x00, 0x07, 0x00, 0x2a, 0x00, 0x00, 0x2a};
+    Decoder dec(raw, order);
+    ASSERT_TRUE(dec.read_octet().is_ok());
+    EXPECT_EQ(dec.read_uint32().status().code(), Errc::kMalformedMessage);
+  }
+}
+
 }  // namespace
 }  // namespace itdos::cdr

@@ -42,13 +42,22 @@ Bytes SessionKeys::key_for(NodeId a, NodeId b) const {
   return crypto::derive_key(master_, "bft.pairwise", info);
 }
 
+const crypto::HmacKey& SessionKeys::pair_key(NodeId a, NodeId b) const {
+  if (b < a) std::swap(a, b);
+  auto it = pair_keys_.find({a, b});
+  if (it == pair_keys_.end()) {
+    it = pair_keys_.emplace(std::pair{a, b}, crypto::HmacKey(key_for(a, b))).first;
+  }
+  return it->second;
+}
+
 crypto::MacTag SessionKeys::tag(NodeId a, NodeId b, ByteView data) const {
-  return crypto::mac_tag(key_for(a, b), data);
+  return pair_key(a, b).tag(data);
 }
 
 bool SessionKeys::verify(NodeId a, NodeId b, ByteView data,
                          const crypto::MacTag& tag) const {
-  return crypto::mac_verify(key_for(a, b), data, tag);
+  return pair_key(a, b).verify(data, tag);
 }
 
 }  // namespace itdos::bft

@@ -6,6 +6,8 @@
 // view-change certificates additionally use signatures.
 #pragma once
 
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "batch/former.hpp"
@@ -70,8 +72,7 @@ struct BftConfig {
 /// a production deployment would run.
 class SessionKeys {
  public:
-  // itdos-lint: allow(BUF-001) key-material sink, moved into place; not a message-path payload
-  explicit SessionKeys(Bytes master_secret) : master_(std::move(master_secret)) {}
+  explicit SessionKeys(ByteView master_secret) : master_(master_secret) {}
 
   /// Symmetric key shared by nodes `a` and `b` (order-independent).
   Bytes key_for(NodeId a, NodeId b) const;
@@ -82,7 +83,13 @@ class SessionKeys {
   bool verify(NodeId a, NodeId b, ByteView data, const crypto::MacTag& tag) const;
 
  private:
-  Bytes master_;
+  /// key_for(a, b) as an HmacKey, derived on first use and kept.
+  const crypto::HmacKey& pair_key(NodeId a, NodeId b) const;
+
+  crypto::HmacKey master_;
+  // One entry per node pair that has authenticated, keyed (low, high); it
+  // lives and dies with the deployment. Ordered map (DET-002).
+  mutable std::map<std::pair<NodeId, NodeId>, crypto::HmacKey> pair_keys_;
 };
 
 }  // namespace itdos::bft

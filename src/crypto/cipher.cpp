@@ -1,15 +1,23 @@
 #include "crypto/cipher.hpp"
 
-#include <cassert>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 
 namespace itdos::crypto {
 
 SymmetricKey SymmetricKey::from_bytes(ByteView b) {
-  assert(b.size() >= kSymmetricKeySize);
-  SymmetricKey k;
-  std::memcpy(k.bytes.data(), b.data(), kSymmetricKeySize);
-  return k;
+  if (b.size() != kSymmetricKeySize) {
+    std::fprintf(stderr, "SymmetricKey::from_bytes: %zu bytes, need %zu\n", b.size(),
+                 kSymmetricKeySize);
+    std::abort();
+  }
+  return SymmetricKey(b, HmacKey(b));
+}
+
+SymmetricKey::SymmetricKey(ByteView b, const HmacKey& master)
+    : enc_(derive_key(master, "itdos.enc", {})), mac_(derive_key(master, "itdos.mac", {})) {
+  std::memcpy(bytes_.data(), b.data(), kSymmetricKeySize);
 }
 
 std::string SymmetricKey::fingerprint() const {
@@ -24,22 +32,8 @@ Nonce make_nonce(std::uint64_t sender, std::uint64_t counter) {
   return n;
 }
 
-namespace {
-
-/// Derives independent encryption and MAC subkeys so the CTR keystream and
-/// the authentication tag never share key material.
-Bytes enc_subkey(const SymmetricKey& key) {
-  return derive_key(key.view(), "itdos.enc", {});
-}
-Bytes mac_subkey(const SymmetricKey& key) {
-  return derive_key(key.view(), "itdos.mac", {});
-}
-
-}  // namespace
-
 void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
                        std::span<std::uint8_t> data) {
-  const Bytes ek = enc_subkey(key);
   std::uint64_t block_index = 0;
   std::size_t offset = 0;
   while (offset < data.size()) {
@@ -47,8 +41,8 @@ void ctr_crypt_inplace(const SymmetricKey& key, const Nonce& nonce,
     for (int i = 0; i < 8; ++i) {
       counter_bytes[i] = static_cast<std::uint8_t>(block_index >> (i * 8));
     }
-    const Digest keystream =
-        hmac_sha256(ek, {ByteView(nonce.data(), nonce.size()), ByteView(counter_bytes, 8)});
+    const Digest keystream = key.enc_subkey().mac(
+        {ByteView(nonce.data(), nonce.size()), ByteView(counter_bytes, 8)});
     const std::size_t take = std::min(data.size() - offset, keystream.size());
     for (std::size_t i = 0; i < take; ++i) data[offset + i] ^= keystream[i];
     offset += take;
@@ -73,8 +67,8 @@ Bytes seal(const SymmetricKey& key, const Nonce& nonce, ByteView aad, ByteView p
   ctr_crypt_inplace(key, nonce, std::span<std::uint8_t>(out).subspan(kNonceSize));
   const ByteView ciphertext(out.data() + kNonceSize, plaintext.size());
 
-  const Bytes mk = mac_subkey(key);
-  const Digest d = hmac_sha256(mk, {ByteView(nonce.data(), nonce.size()), aad, ciphertext});
+  const Digest d =
+      key.mac_subkey().mac({ByteView(nonce.data(), nonce.size()), aad, ciphertext});
   append(out, ByteView(d.data(), kMacTagSize));
   return out;
 }
@@ -88,8 +82,8 @@ Result<Bytes> open(const SymmetricKey& key, ByteView aad, ByteView sealed) {
   const ByteView ciphertext = sealed.subspan(kNonceSize, sealed.size() - kSealOverhead);
   const ByteView tag = sealed.subspan(sealed.size() - kMacTagSize);
 
-  const Bytes mk = mac_subkey(key);
-  const Digest d = hmac_sha256(mk, {ByteView(nonce.data(), nonce.size()), aad, ciphertext});
+  const Digest d =
+      key.mac_subkey().mac({ByteView(nonce.data(), nonce.size()), aad, ciphertext});
   if (!constant_time_equal(ByteView(d.data(), kMacTagSize), tag)) {
     return error(Errc::kAuthFailure, "seal tag mismatch");
   }

@@ -17,17 +17,33 @@ namespace itdos::crypto {
 inline constexpr std::size_t kSymmetricKeySize = 32;
 inline constexpr std::size_t kNonceSize = 12;
 
-/// A symmetric communication key (the paper's "communication key").
-struct SymmetricKey {
-  std::array<std::uint8_t, kSymmetricKeySize> bytes{};
-
-  bool operator==(const SymmetricKey&) const = default;
-
+/// A symmetric communication key (the paper's "communication key"). Its
+/// encryption and MAC subkeys are derived once, when the key is made, and
+/// kept as HMAC midstates, so seal/open never re-derive them.
+class SymmetricKey {
+ public:
+  /// The only constructor. `b` must be exactly kSymmetricKeySize bytes, in
+  /// every build type: any other size aborts.
   static SymmetricKey from_bytes(ByteView b);
-  ByteView view() const { return ByteView(bytes.data(), bytes.size()); }
+
+  bool operator==(const SymmetricKey& other) const { return bytes_ == other.bytes_; }
+
+  ByteView view() const { return ByteView(bytes_.data(), bytes_.size()); }
 
   /// First 8 hex chars — safe to log, identifies (not reveals) the key.
   std::string fingerprint() const;
+
+  /// HMAC(key, "itdos.enc") and HMAC(key, "itdos.mac"), as HMAC keys: the
+  /// CTR keystream and the seal tag never share key material.
+  const HmacKey& enc_subkey() const { return enc_; }
+  const HmacKey& mac_subkey() const { return mac_; }
+
+ private:
+  SymmetricKey(ByteView b, const HmacKey& master);
+
+  std::array<std::uint8_t, kSymmetricKeySize> bytes_;
+  HmacKey enc_;
+  HmacKey mac_;
 };
 
 using Nonce = std::array<std::uint8_t, kNonceSize>;

@@ -19,6 +19,8 @@ constexpr std::array<std::uint32_t, 64> kRoundConstants = {
     0x5b9cca4f, 0x682e6ff3, 0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208,
     0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2};
 
+std::uint64_t g_compressions = 0;
+
 constexpr std::uint32_t rotr(std::uint32_t x, int n) {
   return (x >> n) | (x << (32 - n));
 }
@@ -29,7 +31,10 @@ Sha256::Sha256()
     : state_{0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a,
              0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19} {}
 
+std::uint64_t sha256_compressions() { return g_compressions; }
+
 void Sha256::compress(const std::uint8_t* block) {
+  ++g_compressions;
   std::uint32_t w[64];
   for (int i = 0; i < 16; ++i) {
     w[i] = (std::uint32_t(block[i * 4]) << 24) | (std::uint32_t(block[i * 4 + 1]) << 16) |
@@ -98,16 +103,15 @@ Sha256& Sha256::update(ByteView data) {
 }
 
 Digest Sha256::finish() {
+  // 0x80, zeros up to 56 mod 64, then the 64-bit big-endian bit length: one
+  // or two blocks' worth of padding, absorbed in a single update.
   const std::uint64_t bit_length = total_bytes_ * 8;
-  const std::uint8_t pad_byte = 0x80;
-  update(ByteView(&pad_byte, 1));
-  const std::uint8_t zero = 0x00;
-  while (buffered_ != 56) update(ByteView(&zero, 1));
-  std::uint8_t len_bytes[8];
+  const std::size_t zeros = (buffered_ < 56 ? 56 : 120) - buffered_ - 1;
+  std::uint8_t padding[72] = {0x80};
   for (int i = 0; i < 8; ++i) {
-    len_bytes[i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
+    padding[1 + zeros + i] = static_cast<std::uint8_t>(bit_length >> (56 - i * 8));
   }
-  update(ByteView(len_bytes, 8));
+  update(ByteView(padding, 1 + zeros + 8));
 
   Digest out;
   for (int i = 0; i < 8; ++i) {

@@ -28,13 +28,26 @@ class Sha256 {
   Digest finish();
 
  private:
+  friend class HmacKey;
+  using State = std::array<std::uint32_t, 8>;
+
+  /// Resumes a hash whose first `absorbed` bytes (a whole number of blocks)
+  /// left `midstate` behind. HmacKey keeps its ipad/opad midstates this way.
+  Sha256(const State& midstate, std::uint64_t absorbed)
+      : state_(midstate), total_bytes_(absorbed) {}
+
   void compress(const std::uint8_t* block);
 
-  std::array<std::uint32_t, 8> state_;
+  State state_;
   std::array<std::uint8_t, 64> buffer_;
   std::size_t buffered_ = 0;
   std::uint64_t total_bytes_ = 0;
 };
+
+/// SHA-256 compression-function calls made by this process so far. A plain
+/// counter, outside the telemetry registry: cost tests and benches read the
+/// difference across one operation.
+std::uint64_t sha256_compressions();
 
 /// One-shot convenience.
 Digest sha256(ByteView data);

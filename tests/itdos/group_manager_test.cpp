@@ -735,7 +735,7 @@ TEST_F(KeyAgentTest, EpochsCombineIndependently) {
   KeyAgent agent(directory_, *session_keys_, NodeId(9000));
   std::map<std::uint64_t, crypto::SymmetricKey> keys;
   agent.set_key_ready([&](const ConnRecord& r, const crypto::SymmetricKey& k,
-                          const std::vector<int>&) { keys[r.epoch.value] = k; });
+                          const std::vector<int>&) { keys.insert_or_assign(r.epoch.value, k); });
   ConnRecord epoch1 = record();
   ConnRecord epoch2 = record();
   epoch2.epoch = KeyEpoch(2);
@@ -744,7 +744,7 @@ TEST_F(KeyAgentTest, EpochsCombineIndependently) {
     ASSERT_TRUE(agent.handle_share(make_share(i, epoch2, NodeId(9000))).is_ok());
   }
   ASSERT_EQ(keys.size(), 2u);
-  EXPECT_NE(keys[1], keys[2]);  // rekey produces a fresh key
+  EXPECT_NE(keys.at(1), keys.at(2));  // rekey produces a fresh key
 }
 
 }  // namespace

@@ -3,14 +3,28 @@
 # causal traces are byte-identical (trace_diff.py reports the first divergent
 # event otherwise). Registered as the `fault_trace_determinism` ctest.
 #
-# usage: trace_determinism_check.sh <fault_scenario_tool> <trace_diff.py> <workdir>
+# With a second tool the two runs come from two builds instead (run A from
+# <fault_scenario_tool>, run B from [tool_b]): a refactor that must keep
+# behaviour checks trace equivalence against the parent commit's build in
+# one command.
+#
+# usage: trace_determinism_check.sh <fault_scenario_tool> <trace_diff.py> <workdir> [tool_b]
+#
+#   ITDOS_TRACE_SCENARIOS  space-separated scenario names, or `all` for every
+#                          scenario `<fault_scenario_tool> list` prints
+#                          (default: expel_rekey_e2e partition_primary drop_storm)
+#   ITDOS_TRACE_SEED       seed for every run (default: 4242)
 set -euo pipefail
 
 TOOL="${1:?path to fault_scenario_tool}"
 DIFF="${2:?path to trace_diff.py}"
 WORKDIR="${3:?scratch directory for trace files}"
+TOOL_B="${4:-$TOOL}"
 
 SCENARIOS="${ITDOS_TRACE_SCENARIOS:-expel_rekey_e2e partition_primary drop_storm}"
+if [ "$SCENARIOS" = "all" ]; then
+  SCENARIOS="$("$TOOL" list)"
+fi
 SEED="${ITDOS_TRACE_SEED:-4242}"
 
 mkdir -p "$WORKDIR"
@@ -20,7 +34,7 @@ for scenario in $SCENARIOS; do
   a="$WORKDIR/${scenario}_a.jsonl"
   b="$WORKDIR/${scenario}_b.jsonl"
   "$TOOL" run "$scenario" "$SEED" "$a" >/dev/null
-  "$TOOL" run "$scenario" "$SEED" "$b" >/dev/null
+  "$TOOL_B" run "$scenario" "$SEED" "$b" >/dev/null
   if python3 "$DIFF" "$a" "$b"; then
     echo "determinism OK: $scenario seed=$SEED"
   else

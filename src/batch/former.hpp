@@ -25,8 +25,10 @@
 
 namespace itdos::batch {
 
-/// Formation knobs. The default (max_entries = 1) disables formation: the
-/// owning replica proposes one request per slot, the classic PBFT path.
+/// Formation knobs. The default (max_entries = 1) is formation off: every
+/// request is ripe on arrival and cut alone, so the owning replica proposes
+/// one bare request per slot (the classic PBFT path) through the same
+/// former, which then parks requests only while the watermark window is full.
 struct Policy {
   int max_entries = 1;
   std::size_t max_bytes = 64 * 1024;

@@ -34,6 +34,17 @@ Digest proposal_digest(ByteView request, bool is_batch) {
   return crypto::Sha256().update(ByteView(&domain, 1)).update(request).finish();
 }
 
+/// The client requests a proposal carries, in execution order: none for a
+/// null request, the bare request, or a batch's entries. The one place the
+/// `is_batch` framing is decoded; fails only on an undecodable batch.
+Result<std::vector<BufView>> proposal_entries(const PrePrepareMsg& pp) {
+  if (pp.is_null_request()) return std::vector<BufView>{};
+  if (!pp.is_batch) return std::vector<BufView>{pp.request};
+  Result<batch::BatchMsg> batch = batch::BatchMsg::decode(pp.request);
+  if (!batch.is_ok()) return batch.status();
+  return std::move(batch).take().entries;
+}
+
 /// Timestamps a correct client could currently be using: clients number
 /// requests sequentially and pipeline at most kMaxPipelineDepth, so a live
 /// timestamp is never more than one sparse-window width past the client's
@@ -261,14 +272,12 @@ void Replica::handle_request(const Envelope& env) {
   if (is_primary()) {
     if (record.proposed.contains(request.timestamp)) return;  // already in pipeline
     record.proposed.insert(request.timestamp);
-    if (config_.batch.enabled()) {
-      former_.enqueue(env.body, app_->urgent(request.payload),
-                      app_->trace_of(request.payload), now());
-      pump_former();
-      arm_request_timer();
-    } else {
-      assign_and_propose(request, env.body);
-    }
+    // The primary is accountable for a parked request too (window full or
+    // held for batch-mates), so the liveness timer covers it.
+    former_.enqueue(env.body, app_->urgent(request.payload),
+                    app_->trace_of(request.payload), now());
+    pump_former();
+    arm_request_timer();
   } else {
     // Relay the (still client-authenticated) request to the primary and
     // hold the primary accountable for ordering it.
@@ -280,75 +289,18 @@ void Replica::handle_request(const Envelope& env) {
   }
 }
 
-void Replica::assign_and_propose(const RequestMsg& request, const BufView& encoded) {
-  const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
-  if (!in_window(seq)) {
-    proposal_backlog_.push_back(encoded);
-    return;
-  }
-  next_seq_ = seq;
-  PrePrepareMsg pp;
-  pp.view = view_;
-  pp.seq = SeqNum(seq);
-  pp.request = encoded;
-  pp.req_digest = proposal_digest(ByteView(encoded), /*is_batch=*/false);
-  LogEntry& entry = log_[seq];
-  entry.pre_prepare = pp;
-  entry.trace = app_->trace_of(request.payload);
-  entry.first_seen = now();
-  if (byz_.equivocate) {
-    // Equivocating primary: internally consistent but CONFLICTING proposals
-    // for the same (view, seq) — even-rank backups get the real request,
-    // odd-rank backups a mutated one (valid digest, altered payload).
-    // Neither side can gather a matching quorum; the view-change timeout is
-    // the documented recovery path.
-    RequestMsg lie_request = request;
-    Bytes lie_payload = request.payload.clone_bytes();  // copy-on-write
-    lie_payload.push_back(0x5a);
-    lie_request.payload = BufView(std::move(lie_payload));
-    PrePrepareMsg lie = pp;
-    lie.request = lie_request.encode();
-    lie.req_digest = proposal_digest(ByteView(lie.request), /*is_batch=*/false);
-    for (int rank = 0; rank < config_.n(); ++rank) {
-      const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
-      if (backup == id()) continue;
-      const PrePrepareMsg& variant = (rank % 2 == 0) ? pp : lie;
-      send_authenticated(backup, MsgType::kPrePrepare, variant.encode());
-    }
-  } else {
-    multicast_authenticated(MsgType::kPrePrepare, pp.encode());
-  }
-  metrics_.pre_prepares_sent->inc();
-  update_inflight_gauge();
-  tel_->trace(telemetry::TraceKind::kBftPrePrepare, id(), entry.trace, view_.value, seq);
-  arm_request_timer();
-}
-
-void Replica::drain_proposal_backlog() {
-  if (!is_primary() || in_view_change_) return;
-  while (!proposal_backlog_.empty()) {
-    const BufView encoded = proposal_backlog_.front();
-    const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
-    if (!in_window(seq)) break;
-    proposal_backlog_.pop_front();
-    Result<RequestMsg> request = RequestMsg::decode(encoded);
-    if (!request.is_ok()) continue;
-    assign_and_propose(request.value(), encoded);
-  }
-  pump_former();
-}
-
 void Replica::pump_former() {
   const auto slot_free = [this] {
     return in_window(std::max(next_seq_, last_executed_) + 1);
   };
   if (is_primary() && !in_view_change_) {
-    while (former_.ripe(now()) && slot_free()) propose_batch(former_.form());
+    while (former_.ripe(now()) && slot_free()) propose(former_.form());
   }
   // (Re)arm the hold timer for the oldest still-parked entry, so a batch
-  // that never fills its caps still flushes after max_hold_ns. With the
-  // window full there is nothing a timer could do: every site that
-  // advances stable_seq_ pumps the former again.
+  // that never fills its caps still flushes after max_hold_ns (with
+  // formation off every entry is ripe on arrival, so it is never armed).
+  // With the window full there is nothing a timer could do: every site
+  // that advances stable_seq_ pumps the former again.
   if (hold_timer_armed_) {
     cancel_timer(hold_timer_);
     hold_timer_armed_ = false;
@@ -363,47 +315,52 @@ void Replica::pump_former() {
   }
 }
 
-void Replica::propose_batch(std::vector<batch::PendingEntry> entries) {
-  if (entries.empty()) return;
+void Replica::propose(std::vector<batch::PendingEntry> entries) {
+  assert(!entries.empty());
   const std::uint64_t seq = std::max(next_seq_, last_executed_) + 1;
   next_seq_ = seq;
 
-  batch::BatchMsg batch;
-  batch.entries.reserve(entries.size());
-  for (const batch::PendingEntry& e : entries) batch.entries.push_back(e.encoded);
-
-  PrePrepareMsg pp;
-  pp.view = view_;
-  pp.seq = SeqNum(seq);
-  pp.is_batch = true;
-  pp.request = batch.encode_into(arena());  // the one marshal of the batch
-  pp.req_digest = proposal_digest(ByteView(pp.request), /*is_batch=*/true);
+  // Framing follows the policy: with formation off the slot carries the
+  // bare request, with it on one BatchMsg marshalled into the arena.
+  const bool framed = config_.batch.enabled();
+  const auto make_pre_prepare = [&](const batch::BatchMsg& slot) {
+    PrePrepareMsg pp;
+    pp.view = view_;
+    pp.seq = SeqNum(seq);
+    pp.is_batch = framed;
+    pp.request = framed ? slot.encode_into(arena()) : slot.entries.front();
+    pp.req_digest = proposal_digest(ByteView(pp.request), framed);
+    return pp;
+  };
+  batch::BatchMsg slot;
+  slot.entries.reserve(entries.size());
+  for (const batch::PendingEntry& e : entries) slot.entries.push_back(e.encoded);
+  const PrePrepareMsg pp = make_pre_prepare(slot);
 
   LogEntry& entry = log_[seq];
   entry.pre_prepare = pp;
   entry.first_seen = now();
   for (const batch::PendingEntry& e : entries) {
     if (entry.trace == 0) entry.trace = e.trace;
-    metrics_.batch_hold_ns->record(now() - e.enqueued_at);
+    if (framed) metrics_.batch_hold_ns->record(now() - e.enqueued_at);
   }
-  metrics_.batch_size->record(static_cast<std::int64_t>(entries.size()));
+  if (framed) metrics_.batch_size->record(static_cast<std::int64_t>(entries.size()));
 
   if (byz_.equivocate) {
-    // Equivocating primary, batch edition: the lie mutates the FIRST entry's
-    // payload (still a decodable batch with a valid digest) so even- and
-    // odd-rank backups prepare conflicting batch contents.
-    batch::BatchMsg lie_batch = batch;
-    if (Result<RequestMsg> first = RequestMsg::decode(batch.entries.front());
-        first.is_ok()) {
+    // Equivocating primary: internally consistent but CONFLICTING proposals
+    // for the same (view, seq) — even-rank backups get the real proposal,
+    // odd-rank backups one whose first request carries a mutated payload
+    // (still decodable, valid digest). Neither side can gather a matching
+    // quorum; the view-change timeout is the documented recovery path.
+    batch::BatchMsg lie_slot = slot;
+    if (Result<RequestMsg> first = RequestMsg::decode(slot.entries.front()); first.is_ok()) {
       RequestMsg lie_request = first.value();
       Bytes lie_payload = lie_request.payload.clone_bytes();  // copy-on-write
       lie_payload.push_back(0x5a);
       lie_request.payload = BufView(std::move(lie_payload));
-      lie_batch.entries.front() = BufView(lie_request.encode());
+      lie_slot.entries.front() = BufView(lie_request.encode());
     }
-    PrePrepareMsg lie = pp;
-    lie.request = lie_batch.encode_into(arena());
-    lie.req_digest = proposal_digest(ByteView(lie.request), /*is_batch=*/true);
+    const PrePrepareMsg lie = make_pre_prepare(lie_slot);
     for (int rank = 0; rank < config_.n(); ++rank) {
       const NodeId backup = config_.replicas[static_cast<std::size_t>(rank)];
       if (backup == id()) continue;
@@ -444,60 +401,44 @@ void Replica::handle_pre_prepare(const Envelope& env) {
   // Digest must bind the piggybacked request AND its framing (or be the
   // null digest): proposal_digest covers is_batch, so the same bytes cannot
   // be prepared both as a batch and as a single request.
+  const Digest expected = pp.is_null_request()
+                              ? Digest{}
+                              : proposal_digest(ByteView(pp.request), pp.is_batch);
+  if (pp.req_digest != expected) return;
+  // Every entry must be a decodable request — a proposal is accepted (and
+  // later executed) only as a whole.
+  Result<std::vector<BufView>> decoded_entries = proposal_entries(pp);
+  if (!decoded_entries.is_ok()) {
+    metrics_.malformed->inc();
+    return;
+  }
+  const std::vector<BufView>& entries = decoded_entries.value();
+  // The proposal must respect the cluster's formation policy, not just the
+  // protocol-wide ceiling: fairness and per-slot execution cost are sized
+  // to the configured caps, and only a misbehaving primary packs past them.
+  // Mirror the former's cut rule — a single entry may exceed the byte cap
+  // on its own, a multi-entry batch may not.
+  std::size_t batch_bytes = 0;
+  for (const BufView& entry_bytes : entries) batch_bytes += entry_bytes.size();
+  if (entries.size() > static_cast<std::size_t>(std::max(config_.batch.max_entries, 1)) ||
+      (entries.size() > 1 && batch_bytes > config_.batch.max_bytes)) {
+    metrics_.malformed->inc();
+    return;
+  }
   std::uint64_t trace = 0;
-  if (pp.is_null_request()) {
-    if (pp.req_digest != Digest{}) return;
-  } else {
-    if (proposal_digest(ByteView(pp.request), pp.is_batch) != pp.req_digest) return;
-    if (pp.is_batch) {
-      // Every entry must be a decodable request — a batch is accepted (and
-      // later executed) only as a whole.
-      Result<batch::BatchMsg> decoded_batch = batch::BatchMsg::decode(pp.request);
-      if (!decoded_batch.is_ok()) {
-        metrics_.malformed->inc();
-        return;
-      }
-      const std::vector<BufView>& entries = decoded_batch.value().entries;
-      // The batch must respect the cluster's formation policy, not just the
-      // protocol-wide ceiling: fairness and per-slot execution cost are
-      // sized to the configured caps, and only a misbehaving primary packs
-      // past them. Mirror the former's cut rule — a single entry may exceed
-      // the byte cap on its own, a multi-entry batch may not.
-      std::size_t batch_bytes = 0;
-      for (const BufView& entry_bytes : entries) batch_bytes += entry_bytes.size();
-      if (entries.size() >
-              static_cast<std::size_t>(std::max(config_.batch.max_entries, 1)) ||
-          (entries.size() > 1 && batch_bytes > config_.batch.max_bytes)) {
-        metrics_.malformed->inc();
-        return;
-      }
-      for (const BufView& entry_bytes : entries) {
-        Result<RequestMsg> request = RequestMsg::decode(entry_bytes);
-        if (!request.is_ok()) {
-          metrics_.malformed->inc();
-          return;
-        }
-        if (trace == 0) trace = app_->trace_of(request.value().payload);
-        // Remember each proposal so retransmissions are not re-forwarded —
-        // but never track fabricated far-future timestamps (see
-        // plausible_timestamp): they would prune the bounded dedup windows
-        // over live requests.
-        ClientRecord& record = clients_[request.value().client];
-        if (plausible_timestamp(record.executed, request.value().timestamp)) {
-          record.proposed.insert(request.value().timestamp);
-        }
-      }
-    } else {
-      Result<RequestMsg> request = RequestMsg::decode(pp.request);
-      if (!request.is_ok()) {
-        metrics_.malformed->inc();
-        return;
-      }
-      trace = app_->trace_of(request.value().payload);
-      ClientRecord& record = clients_[request.value().client];
-      if (plausible_timestamp(record.executed, request.value().timestamp)) {
-        record.proposed.insert(request.value().timestamp);
-      }
+  for (const BufView& entry_bytes : entries) {
+    Result<RequestMsg> request = RequestMsg::decode(entry_bytes);
+    if (!request.is_ok()) {
+      metrics_.malformed->inc();
+      return;
+    }
+    if (trace == 0) trace = app_->trace_of(request.value().payload);
+    // Remember each proposal so retransmissions are not re-forwarded — but
+    // never track fabricated far-future timestamps (see plausible_timestamp):
+    // they would prune the bounded dedup windows over live requests.
+    ClientRecord& record = clients_[request.value().client];
+    if (plausible_timestamp(record.executed, request.value().timestamp)) {
+      record.proposed.insert(request.value().timestamp);
     }
   }
 
@@ -628,7 +569,7 @@ void Replica::try_execute() {
     }
   }
   for (const auto& [client, record] : clients_) {
-    // Relayed (or, on the primary, parked-for-formation) but not executed.
+    // Relayed but not executed.
     if (record.forwarded.floor() != 0 &&
         !record.executed.contains(record.forwarded.floor())) {
       pending = true;
@@ -642,6 +583,7 @@ void Replica::try_execute() {
     }
     if (pending) break;
   }
+  // Parked at the primary (window full or held for batch-mates).
   if (!pending && is_primary() && !former_.empty()) pending = true;
   if (!pending) disarm_request_timer();
 }
@@ -654,21 +596,14 @@ void Replica::execute_entry(std::uint64_t seq, LogEntry& entry) {
   }
   tel_->trace(telemetry::TraceKind::kBftExecute, id(), entry.trace, seq);
   if (execution_observer_) execution_observer_(SeqNum(seq), entry.pre_prepare->req_digest);
-  if (!entry.pre_prepare->is_null_request()) {
-    if (entry.pre_prepare->is_batch) {
-      // Unpack the batch and execute its entries in formation order; each
-      // request gets its own dedup decision and its own REPLY. (The batch
-      // was validated entry-by-entry at pre-prepare time; a decode failure
-      // here would mean the digest check was bypassed, so just skip.)
-      Result<batch::BatchMsg> batch = batch::BatchMsg::decode(entry.pre_prepare->request);
-      if (batch.is_ok()) {
-        for (const BufView& entry_bytes : batch.value().entries) {
-          Result<RequestMsg> decoded = RequestMsg::decode(entry_bytes);
-          if (decoded.is_ok()) execute_request(decoded.value(), seq);
-        }
-      }
-    } else {
-      Result<RequestMsg> decoded = RequestMsg::decode(entry.pre_prepare->request);
+  // Execute the slot's requests in formation order; each gets its own dedup
+  // decision and its own REPLY. (The proposal was validated entry-by-entry
+  // at pre-prepare time; a decode failure here would mean the digest check
+  // was bypassed, so just skip.)
+  if (Result<std::vector<BufView>> entries = proposal_entries(*entry.pre_prepare);
+      entries.is_ok()) {
+    for (const BufView& entry_bytes : entries.value()) {
+      Result<RequestMsg> decoded = RequestMsg::decode(entry_bytes);
       if (decoded.is_ok()) execute_request(decoded.value(), seq);
     }
   }
@@ -815,7 +750,7 @@ void Replica::make_stable(std::uint64_t seq, const Digest& digest) {
   checkpoint_votes_.erase(checkpoint_votes_.begin(), checkpoint_votes_.upper_bound(seq));
   pending_snapshots_.erase(pending_snapshots_.begin(),
                            pending_snapshots_.upper_bound(seq));
-  drain_proposal_backlog();
+  pump_former();  // the window moved with stable_seq_
 }
 
 void Replica::request_state_transfer(std::uint64_t seq, const Digest& digest) {
@@ -1274,28 +1209,18 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
     // marks so client retransmissions are not double-assigned. A batch is
     // restored entry-by-entry — but proposed as the original whole.
     std::uint64_t trace = 0;
-    if (!pp.is_null_request()) {
-      const auto restore_marks = [this, &trace](const BufView& encoded) {
-        if (Result<RequestMsg> carried = RequestMsg::decode(encoded); carried.is_ok()) {
-          if (trace == 0) trace = app_->trace_of(carried.value().payload);
-          ClientRecord& record = clients_[carried.value().client];
-          // Re-proposed requests are primary-originated, so apply the same
-          // fabricated-timestamp guard as handle_pre_prepare: implausible
-          // marks would prune the bounded windows over live timestamps.
-          if (!plausible_timestamp(record.executed, carried.value().timestamp)) return;
-          record.proposed.insert(carried.value().timestamp);
-          record.forwarded.insert(carried.value().timestamp);
-        }
-      };
-      if (pp.is_batch) {
-        if (Result<batch::BatchMsg> carried = batch::BatchMsg::decode(pp.request);
-            carried.is_ok()) {
-          for (const BufView& entry_bytes : carried.value().entries) {
-            restore_marks(entry_bytes);
-          }
-        }
-      } else {
-        restore_marks(pp.request);
+    if (Result<std::vector<BufView>> entries = proposal_entries(pp); entries.is_ok()) {
+      for (const BufView& entry_bytes : entries.value()) {
+        Result<RequestMsg> carried = RequestMsg::decode(entry_bytes);
+        if (!carried.is_ok()) continue;
+        if (trace == 0) trace = app_->trace_of(carried.value().payload);
+        ClientRecord& record = clients_[carried.value().client];
+        // Re-proposed requests are primary-originated, so apply the same
+        // fabricated-timestamp guard as handle_pre_prepare: implausible
+        // marks would prune the bounded windows over live timestamps.
+        if (!plausible_timestamp(record.executed, carried.value().timestamp)) continue;
+        record.proposed.insert(carried.value().timestamp);
+        record.forwarded.insert(carried.value().timestamp);
       }
     }
     LogEntry& entry = log_[seq];
@@ -1328,7 +1253,7 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
       ++it;
     }
   }
-  drain_proposal_backlog();
+  pump_former();
   try_execute();
 }
 

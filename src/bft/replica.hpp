@@ -19,7 +19,6 @@
 // relayed in NEW-VIEW.
 #pragma once
 
-#include <deque>
 #include <functional>
 #include <map>
 #include <memory>
@@ -210,12 +209,11 @@ class Replica : public net::Process {
   void handle_state_response(const Envelope& env);
 
   // --- normal case ---
-  void assign_and_propose(const RequestMsg& request, const BufView& encoded);
-  void drain_proposal_backlog();
   /// Flushes ripe batches out of the former and (re)arms the hold timer.
   void pump_former();
-  /// Assigns one sequence slot to a formed batch and multicasts it.
-  void propose_batch(std::vector<batch::PendingEntry> entries);
+  /// Assigns one sequence slot to a formed batch (non-empty) and multicasts
+  /// it; the only place a slot is assigned.
+  void propose(std::vector<batch::PendingEntry> entries);
   void maybe_send_commit(std::uint64_t seq);
   void try_execute();
   void execute_entry(std::uint64_t seq, LogEntry& entry);
@@ -302,13 +300,11 @@ class Replica : public net::Process {
   std::map<std::uint64_t, std::map<Digest, std::set<NodeId>>> checkpoint_votes_;
   std::map<std::uint64_t, Bytes> pending_snapshots_;  // taken but not yet stable
 
-  // Requests the primary could not yet assign (window full). Views into the
-  // relayed wire buffers — backlogged requests pin their chunks, no copies.
-  std::deque<BufView> proposal_backlog_;
-
-  // Batch formation (primary only; unused while config_.batch is off). The
-  // former doubles as the backlog when the watermark window is full:
-  // make_stable / adopt_new_view pump it again.
+  // Request formation (primary only): every proposal goes through it; with
+  // formation off its policy of one cuts each request on arrival. It doubles
+  // as the backlog when the watermark window is full: install_snapshot /
+  // make_stable / adopt_new_view pump it again. Entries are views into the
+  // relayed wire buffers — parked requests pin their chunks, no copies.
   batch::Former former_;
   net::EventHandle hold_timer_{};
   bool hold_timer_armed_ = false;

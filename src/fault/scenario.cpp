@@ -82,11 +82,10 @@ ScenarioResult run_cluster(const std::string& name, std::uint64_t seed,
   return result;
 }
 
-std::set<NodeId> cluster_nodes(int f, const std::set<int>& ranks) {
+std::set<NodeId> cluster_nodes(const std::set<int>& ranks) {
   // bft::Cluster assigns replica node ids 1..3f+1 in rank order.
   std::set<NodeId> nodes;
   for (int rank : ranks) nodes.insert(NodeId(static_cast<std::uint64_t>(rank + 1)));
-  (void)f;
   return nodes;
 }
 
@@ -151,8 +150,8 @@ ScenarioResult scenario_partition_minority(std::uint64_t seed) {
   plan.seed = seed;
   plan.heal_time = SimTime{seconds(1)};
   PartitionWindow window;
-  window.side_a = cluster_nodes(1, {3});
-  window.side_b = cluster_nodes(1, {0, 1, 2});
+  window.side_a = cluster_nodes({3});
+  window.side_b = cluster_nodes({0, 1, 2});
   window.form = SimTime{0};  // before the first commit, or nothing is stressed
   window.heal = plan.heal_time;
   plan.partitions.push_back(window);
@@ -167,8 +166,8 @@ ScenarioResult scenario_partition_primary(std::uint64_t seed) {
   plan.seed = seed;
   plan.heal_time = SimTime{millis(1500)};
   PartitionWindow window;
-  window.side_a = cluster_nodes(1, {0});
-  window.side_b = cluster_nodes(1, {1, 2, 3});
+  window.side_a = cluster_nodes({0});
+  window.side_b = cluster_nodes({1, 2, 3});
   window.form = SimTime{0};  // before the first commit, or nothing is stressed
   window.heal = plan.heal_time;
   plan.partitions.push_back(window);
@@ -255,8 +254,8 @@ ScenarioResult scenario_viewchange_mid_pipeline(std::uint64_t seed) {
   plan.seed = seed;
   plan.heal_time = SimTime{millis(1500)};
   PartitionWindow window;
-  window.side_a = cluster_nodes(1, {0});
-  window.side_b = cluster_nodes(1, {1, 2, 3});
+  window.side_a = cluster_nodes({0});
+  window.side_b = cluster_nodes({1, 2, 3});
   window.form = SimTime{micros(250)};  // first batches are mid-agreement
   window.heal = plan.heal_time;
   plan.partitions.push_back(window);
@@ -273,8 +272,8 @@ ScenarioResult scenario_stale_view_replay(std::uint64_t seed) {
   plan.seed = seed;
   plan.heal_time = SimTime{seconds(2)};
   PartitionWindow window;
-  window.side_a = cluster_nodes(1, {0});
-  window.side_b = cluster_nodes(1, {1, 2, 3});
+  window.side_a = cluster_nodes({0});
+  window.side_b = cluster_nodes({1, 2, 3});
   window.form = SimTime{0};
   window.heal = SimTime{millis(500)};
   plan.partitions.push_back(window);

@@ -37,13 +37,21 @@ TEST(FormerTest, EmptyFormerIsNeverRipe) {
 }
 
 TEST(FormerTest, CountCapTrips) {
-  Former former(policy(3));
-  const SimTime t0{};
-  former.enqueue(frame(8), false, 0, t0);
-  former.enqueue(frame(8), false, 0, t0);
-  EXPECT_FALSE(former.ripe(t0));
-  former.enqueue(frame(8), false, 0, t0);
-  EXPECT_TRUE(former.ripe(t0));
+  // policy(1) is formation off: ripe on every arrival, one entry per cut.
+  for (const int cap : {3, 1}) {
+    SCOPED_TRACE(cap);
+    Former former(policy(cap));
+    const SimTime t0{};
+    for (int i = 1; i < cap; ++i) {
+      former.enqueue(frame(8), false, 0, t0);
+      EXPECT_FALSE(former.ripe(t0));
+    }
+    former.enqueue(frame(8), false, 0, t0);
+    EXPECT_TRUE(former.ripe(t0));
+    former.enqueue(frame(8), false, 0, t0);  // one past the cap stays parked
+    EXPECT_EQ(former.form().size(), static_cast<std::size_t>(cap));
+    EXPECT_EQ(former.size(), 1u);
+  }
 }
 
 TEST(FormerTest, ByteCapTrips) {

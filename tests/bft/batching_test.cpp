@@ -262,5 +262,45 @@ TEST(BatchingTest, StalledWindowDoesNotSpinTheHoldTimer) {
   EXPECT_LT(cluster.sim().events_executed() - before, 100u);
 }
 
+class WindowFullTest : public ::testing::TestWithParam<int> {};
+
+TEST_P(WindowFullTest, WindowFullParksAndDrainsInOrder) {
+  // A watermark window of 4 slots against a client window of 8: the primary
+  // parks what it cannot assign and drains it as checkpoints turn stable —
+  // through the same former whether formation is off (max_entries = 1) or
+  // on, and without a view change. A fixed link delay keeps arrival order
+  // equal to invocation order, so in-order draining shows as the i-th
+  // request reading counter value i.
+  ClusterOptions opts = batched_options();
+  opts.net_config.min_delay_ns = micros(50);
+  opts.net_config.max_delay_ns = micros(50);
+  opts.checkpoint_interval = 2;
+  opts.pipeline_depth = 8;
+  opts.batch.max_entries = GetParam();
+  Cluster cluster(opts, counter_factory());
+  Client& client = cluster.add_client();
+  constexpr int kRequests = 12;
+  std::vector<std::string> results(kRequests);
+  for (int i = 0; i < kRequests; ++i) {
+    client.invoke(to_bytes("add:1"), [&results, i](Result<Bytes> r) {
+      if (r.is_ok()) results[static_cast<std::size_t>(i)] = to_string(r.value());
+    });
+  }
+  cluster.settle();
+  for (int i = 0; i < kRequests; ++i) {
+    EXPECT_EQ(results[static_cast<std::size_t>(i)], "VAL:" + std::to_string(i + 1));
+  }
+  const auto& gauges = cluster.sim().telemetry().metrics().gauges();
+  const auto inflight = gauges.find("bft.1.inflight");
+  ASSERT_NE(inflight, gauges.end());
+  EXPECT_EQ(inflight->second.peak(), 4);  // the window, never past it
+  EXPECT_EQ(cluster.replica(0).view().value, 0u);
+  if (GetParam() == 1) {
+    EXPECT_EQ(cluster.replica(0).last_executed().value, 12u);  // one slot each
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(MaxEntries, WindowFullTest, ::testing::Values(1, 2));
+
 }  // namespace
 }  // namespace itdos::bft

@@ -1,7 +1,8 @@
 #!/usr/bin/env bash
 # Runs the same fault scenario twice with the same seed and asserts the two
 # causal traces are byte-identical (trace_diff.py reports the first divergent
-# event otherwise). Registered as the `fault_trace_determinism` ctest.
+# event otherwise) and the two summary lines (the tool's stdout: completions,
+# expulsions, recoveries, MTTR, element discards, sheds, overloads) match. Registered as the `fault_trace_determinism` ctest.
 #
 # With a second tool the two runs come from two builds instead (run A from
 # <fault_scenario_tool>, run B from [tool_b]): a refactor that must keep
@@ -33,13 +34,18 @@ status=0
 for scenario in $SCENARIOS; do
   a="$WORKDIR/${scenario}_a.jsonl"
   b="$WORKDIR/${scenario}_b.jsonl"
-  "$TOOL" run "$scenario" "$SEED" "$a" >/dev/null
-  "$TOOL_B" run "$scenario" "$SEED" "$b" >/dev/null
-  if python3 "$DIFF" "$a" "$b"; then
-    echo "determinism OK: $scenario seed=$SEED"
-  else
+  summary_a="$("$TOOL" run "$scenario" "$SEED" "$a")"
+  summary_b="$("$TOOL_B" run "$scenario" "$SEED" "$b")"
+  if ! python3 "$DIFF" "$a" "$b"; then
     echo "determinism FAILED: $scenario seed=$SEED" >&2
     status=1
+  elif [ "$summary_a" != "$summary_b" ]; then
+    echo "determinism FAILED (summary): $scenario seed=$SEED" >&2
+    echo "  a: $summary_a" >&2
+    echo "  b: $summary_b" >&2
+    status=1
+  else
+    echo "determinism OK: $scenario seed=$SEED"
   fi
 done
 exit $status

@@ -7,7 +7,10 @@
 //
 // `run` executes one scenario, optionally dumps its causal trace JSONL, and
 // exits nonzero if the oracle recorded any violation (printing the forensic
-// lines to stderr). `sweep` runs every scenario across consecutive seeds —
+// lines to stderr). Its one-line summary carries every ScenarioResult count
+// (recoveries started/completed/aborted, last MTTR, per-rank element
+// discards, sheds, overloads), so comparing two builds' summaries checks
+// those numbers alongside the traces. `sweep` runs every scenario across consecutive seeds —
 // the engine behind scripts/soak.sh. Determinism tests run `run` twice with
 // the same seed and diff the two trace files.
 //
@@ -59,6 +62,13 @@ int run_one(const std::string& name, std::uint64_t seed,
             << " expulsions=" << result.expulsions
             << " rekeys=" << result.rekeys
             << " view_changes=" << result.view_changes
+            << " recoveries=" << result.recoveries_started << "/"
+            << result.recoveries_completed << "/" << result.recoveries_aborted
+            << " last_mttr_ns=" << result.last_mttr_ns << " element_discards=[";
+  for (std::size_t i = 0; i < result.element_discards.size(); ++i) {
+    std::cout << (i == 0 ? "" : ",") << result.element_discards[i];
+  }
+  std::cout << "] sheds=" << result.sheds << " overloads=" << result.overloads
             << " violations=" << result.violations.size() << "\n";
   if (!result.clean()) {
     print_violations(result);

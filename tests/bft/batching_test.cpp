@@ -5,6 +5,7 @@
 // snapshot format.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <string>
 #include <vector>
@@ -260,6 +261,54 @@ TEST(BatchingTest, StalledWindowDoesNotSpinTheHoldTimer) {
   const std::uint64_t before = cluster.sim().events_executed();
   cluster.sim().run_for(millis(1));
   EXPECT_LT(cluster.sim().events_executed() - before, 100u);
+}
+
+TEST(BatchingTest, SnapshotInstallIntoLaterViewDropsParkedEntries) {
+  // A primary cut off from its group keeps view 0 while the others move to
+  // view 1 and execute past a checkpoint. A fresh client then fills the
+  // stale primary's watermark window (4 slots), so the rest of its requests
+  // park ripe in the former. Installing the group's snapshot frees the
+  // window and moves the replica to view 1: the parked entries must die with
+  // view 0 instead of going out as pre-prepares tagged with the dead view.
+  ClusterOptions opts;
+  opts.f = 1;
+  opts.seed = 17;
+  opts.net_config.min_delay_ns = micros(20);
+  opts.net_config.max_delay_ns = micros(80);
+  opts.checkpoint_interval = 2;
+  opts.pipeline_depth = 8;
+  Cluster cluster(opts, counter_factory());
+  const NodeId stale = cluster.replica_id(0);
+  for (int rank = 1; rank < cluster.n(); ++rank) {
+    cluster.network().set_link(stale, cluster.replica_id(rank), false);
+  }
+  Client& early = cluster.add_client();
+  cluster.network().set_link(stale, early.id(), false);
+  ASSERT_EQ(run_pipelined(cluster, early, 6), 6);
+  ASSERT_EQ(cluster.replica(1).view().value, 1u);
+  ASSERT_EQ(cluster.replica(0).view().value, 0u);
+  ASSERT_FALSE(cluster.replica(0).in_view_change());
+
+  Client& late = cluster.add_client();  // still believes in view 0
+  for (int i = 0; i < 8; ++i) late.invoke(to_bytes("add:1"), [](Result<Bytes>) {});
+  cluster.sim().run_for(millis(1));
+
+  std::vector<std::uint64_t> pre_prepare_views;
+  cluster.network().set_interceptor(stale, [&](const net::Packet& packet) {
+    Result<Envelope> env = Envelope::decode(packet.payload);
+    if (env.is_ok() && env.value().type == MsgType::kPrePrepare) {
+      Result<PrePrepareMsg> pp = PrePrepareMsg::decode(env.value().body);
+      if (pp.is_ok()) pre_prepare_views.push_back(pp.value().view.value);
+    }
+    return std::optional<BufView>(packet.payload);
+  });
+  cluster.network().heal_all_links();
+  cluster.replica(0).request_catch_up();
+  cluster.sim().run_for(millis(10));
+
+  EXPECT_EQ(cluster.replica(0).view().value, 1u);
+  EXPECT_EQ(cluster.replica(0).last_executed().value, 6u);
+  EXPECT_EQ(std::ranges::count(pre_prepare_views, 0u), 0);
 }
 
 class WindowFullTest : public ::testing::TestWithParam<int> {};

@@ -20,15 +20,31 @@
 #include <chrono>
 #include <cinttypes>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "itdos/system.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace itdos::bench {
+
+/// The counter a component of `sim` registered as `name` (benches read
+/// telemetry by name, DESIGN.md §6). Aborts on an unregistered name, so a
+/// misspelled metric cannot report zero.
+inline const telemetry::Counter& registered_counter(const net::Simulator& sim,
+                                                    std::string_view name) {
+  const telemetry::Counter* counter = sim.telemetry().metrics().find_counter(name);
+  if (counter == nullptr) {
+    std::fprintf(stderr, "no counter registered as %.*s\n",
+                 static_cast<int>(name.size()), name.data());
+    std::abort();
+  }
+  return *counter;
+}
 
 /// Accumulates telemetry across every benchmark in one binary; written out
 /// as BENCH_<name>.json by ITDOS_BENCH_MAIN. Counters and histograms merge

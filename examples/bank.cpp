@@ -11,6 +11,7 @@
 //
 // Run: build/examples/bank
 #include <cstdio>
+#include <string>
 
 #include "itdos/system.hpp"
 
@@ -141,8 +142,11 @@ int main() {
 
   std::printf("\nledger elements voted on ordered request copies from the "
               "replicated teller:\n");
+  const auto& counters = system.sim().telemetry().metrics().counters();
+  const std::string ledger0 =
+      "element." + system.element(ledger_domain, 0).smiop_node().to_string() + ".";
   std::printf("  ledger element 0 request-vote copies: %llu\n",
               static_cast<unsigned long long>(
-                  system.element(ledger_domain, 0).stats().request_vote_copies));
+                  counters.at(ledger0 + "request_vote_copies").value()));
   return 0;
 }

@@ -13,6 +13,7 @@
 //
 // Run: build/examples/intrusion_demo
 #include <cstdio>
+#include <string>
 
 #include "itdos/system.hpp"
 
@@ -68,11 +69,13 @@ int main() {
 
   // --- step 3+4: detection, proof, expulsion, rekey ---
   system.settle();
-  const auto& stats = client.party().stats();
+  const auto& counters = system.sim().telemetry().metrics().counters();
+  const std::string party = "smiop." + client.smiop_node().to_string() + ".";
   std::printf("[detect] dissenting replies observed : %llu\n",
-              static_cast<unsigned long long>(stats.faults_detected));
+              static_cast<unsigned long long>(counters.at(party + "faults_detected").value()));
   std::printf("[report] change_requests (with proof): %llu\n",
-              static_cast<unsigned long long>(stats.change_requests_sent));
+              static_cast<unsigned long long>(
+                  counters.at(party + "change_requests_sent").value()));
   const bool expelled = system.gm_element(0).state().is_expelled(domain, intruder);
   std::printf("[expel]  Group Manager verdict       : %s\n",
               expelled ? "EXPELLED (proof verified by GM's unmarshalled vote)"

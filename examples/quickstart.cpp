@@ -4,6 +4,7 @@
 //
 // Run: build/examples/quickstart
 #include <cstdio>
+#include <string>
 
 #include "itdos/system.hpp"
 
@@ -68,17 +69,19 @@ int main() {
                          Value::sequence({Value::int64(6), Value::int64(7)}));
   std::printf("mul(6, 7)    -> %s\n", product.value().to_string().c_str());
 
-  const auto& stats = client.party().stats();
+  // Every count lives in the simulator's telemetry registry, by name.
+  const auto& counters = system.sim().telemetry().metrics().counters();
+  const std::string party = "smiop." + client.smiop_node().to_string() + ".";
+  const auto count = [&](const std::string& name) {
+    return static_cast<unsigned long long>(counters.at(name).value());
+  };
   std::printf("\nwhat happened under the hood:\n");
-  std::printf("  open_requests to the Group Manager : %llu\n",
-              static_cast<unsigned long long>(stats.opens_sent));
-  std::printf("  ordered requests sent              : %llu\n",
-              static_cast<unsigned long long>(stats.requests_sent));
+  std::printf("  open_requests to the Group Manager : %llu\n", count(party + "opens_sent"));
+  std::printf("  ordered requests sent              : %llu\n", count(party + "requests_sent"));
   std::printf("  replies received from elements     : %llu\n",
-              static_cast<unsigned long long>(stats.replies_received));
-  std::printf("  votes decided                      : %llu\n",
-              static_cast<unsigned long long>(stats.votes_decided));
+              count(party + "replies_received"));
+  std::printf("  votes decided                      : %llu\n", count(party + "votes_decided"));
   std::printf("  network packets delivered          : %llu\n",
-              static_cast<unsigned long long>(system.network().stats().packets_delivered));
+              count("net.packets_delivered"));
   return 0;
 }

@@ -530,6 +530,19 @@ class PersistentSum : public orb::Servant {
   std::int64_t total_ = 0;
 };
 
+// `element.<node>.entries_discarded` of each current element of `domain`,
+// by rank.
+std::vector<std::uint64_t> element_discards(core::ItdosSystem& system, DomainId domain) {
+  const auto& counters = system.sim().telemetry().metrics().counters();
+  std::vector<std::uint64_t> discards;
+  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+    const NodeId node = system.element(domain, rank).smiop_node();
+    discards.push_back(
+        counters.at("element." + node.to_string() + ".entries_discarded").value());
+  }
+  return discards;
+}
+
 struct RecoverySpec {
   bool dissent = false;           // rank 2 dissents -> proof-based expulsion
   bool corrupt_bundles = false;   // rank 0 serves corrupt state offers
@@ -684,10 +697,7 @@ ScenarioResult run_recovery(const std::string& name, std::uint64_t seed,
   result.recoveries_completed = manager.stats().completed;
   result.recoveries_aborted = manager.stats().aborted;
   result.last_mttr_ns = manager.stats().last_mttr_ns;
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    result.element_discards.push_back(
-        system.element(domain, rank).stats().entries_discarded);
-  }
+  result.element_discards = element_discards(system, domain);
   result.trace_jsonl = hub.tracer().export_jsonl();
   return result;
 }
@@ -811,10 +821,7 @@ ScenarioResult scenario_client_replay_storm(std::uint64_t seed) {
   result.detection = result.expulsions > 0;
   result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
   result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    result.element_discards.push_back(
-        system.element(domain, rank).stats().entries_discarded);
-  }
+  result.element_discards = element_discards(system, domain);
   result.trace_jsonl = hub.tracer().export_jsonl();
   return result;
 }

@@ -171,22 +171,6 @@ SmiopParty::SmiopParty(net::Network& net,
 
 SmiopParty::~SmiopParty() { *alive_ = false; }
 
-PartyStats SmiopParty::stats() const {
-  return PartyStats{
-      .opens_sent = metrics_.opens_sent->value(),
-      .requests_sent = metrics_.requests_sent->value(),
-      .replies_received = metrics_.replies_received->value(),
-      .replies_rejected = metrics_.replies_rejected->value(),
-      .votes_decided = metrics_.votes_decided->value(),
-      .votes_timed_out = metrics_.votes_timed_out->value(),
-      .discarded = metrics_.discarded->value(),
-      .faults_detected = metrics_.faults_detected->value(),
-      .change_requests_sent = metrics_.change_requests_sent->value(),
-      .fragmented_requests = metrics_.fragmented_requests->value(),
-      .overloads_observed = metrics_.overloads_observed->value(),
-  };
-}
-
 std::unique_ptr<orb::PluggableProtocol> SmiopParty::make_protocol() {
   return std::make_unique<Protocol>(*this);
 }

@@ -70,6 +70,8 @@ struct RecoveryEvent {
   std::uint64_t member_epoch = 0;  // kCompleted: domain epoch after admission
 };
 
+/// A by-value view over the simulator's `recovery.*` counters (one recovery
+/// authority per system, so they are this manager's) plus the last MTTR.
 struct RecoveryStats {
   std::uint64_t started = 0;
   std::uint64_t completed = 0;
@@ -105,7 +107,7 @@ class RecoveryManager {
   /// True while an element of `domain` is mid-recovery.
   bool busy(DomainId domain) const { return active_.contains(domain); }
 
-  const RecoveryStats& stats() const { return stats_; }
+  RecoveryStats stats() const;
   const RecoveryConfig& config() const { return config_; }
   core::ItdosSystem& system() { return system_; }
 
@@ -153,7 +155,7 @@ class RecoveryManager {
   std::uint64_t response_policy_ = 1;                   // last submitted strikes
   std::set<std::pair<DomainId, NodeId>> handled_;       // dedup observer echoes
   std::vector<Listener> listeners_;
-  RecoveryStats stats_;
+  std::int64_t last_mttr_ns_ = 0;
 
   telemetry::Hub* tel_;
   struct {

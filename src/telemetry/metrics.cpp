@@ -116,9 +116,9 @@ Histogram& MetricsRegistry::histogram(std::string_view name) {
   return it->second;
 }
 
-std::uint64_t MetricsRegistry::counter_value(std::string_view name) const {
+const Counter* MetricsRegistry::find_counter(std::string_view name) const {
   const auto it = counters_.find(name);
-  return it == counters_.end() ? 0 : it->second.value();
+  return it == counters_.end() ? nullptr : &it->second;
 }
 
 const Histogram* MetricsRegistry::find_histogram(std::string_view name) const {

@@ -135,9 +135,9 @@ class MetricsRegistry {
   /// clock, gauges track value/peak only and record no series.
   void set_clock(std::function<std::int64_t()> clock);
 
-  /// Value of a counter, or 0 when it has never been touched. Lets views
-  /// read metrics without creating them.
-  std::uint64_t counter_value(std::string_view name) const;
+  /// Lookups that never create: nullptr when no component registered `name`,
+  /// so a misspelled name is told apart from a count of zero.
+  const Counter* find_counter(std::string_view name) const;
   const Histogram* find_histogram(std::string_view name) const;
 
   /// Zeroes every instrument, keeping registrations (and addresses) intact.

@@ -13,6 +13,7 @@
 #include "bft/replica.hpp"
 #include "crypto/sha256.hpp"
 #include "net/process.hpp"
+#include "read_counter.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -226,7 +227,8 @@ TEST(ByzantinePrimaryTest, BatchesBeyondConfiguredPolicyRejected) {
 
   for (int rank = 1; rank <= 3; ++rank) {
     EXPECT_EQ(cluster.replica(rank).last_executed().value, 0u) << "rank " << rank;
-    EXPECT_GE(cluster.replica(rank).stats().malformed, 2u) << "rank " << rank;
+    EXPECT_GE(read_counter(cluster.sim(), "bft", cluster.replica_id(rank), "malformed"), 2u)
+        << "rank " << rank;
   }
 }
 

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bft/harness.hpp"
+#include "read_counter.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -68,7 +69,7 @@ TEST(BftRecoveryTest, RejoinedReplicaParticipatesInNewRequests) {
   cluster.settle(500000);
   // The rejoined replica executed the new requests itself.
   EXPECT_EQ(cluster.replica(2).last_executed().value, 12u);
-  EXPECT_GT(cluster.replica(2).stats().commits_sent, 0u);
+  EXPECT_GT(read_counter(cluster.sim(), "bft", cluster.replica_id(2), "commits_sent"), 0u);
 }
 
 TEST(BftRecoveryTest, RestartedReplicaCatchesUpViaRequestCatchUp) {
@@ -110,7 +111,7 @@ TEST(BftRecoveryTest, ViewChangeBackoffBoundsTraffic) {
   // logarithmic-ish (backoff), not linear in time.
   cluster.sim().run_until(cluster.sim().now() + seconds(30));
   cluster.settle(20000);
-  EXPECT_LT(cluster.replica(3).stats().view_changes_sent, 25u);
+  EXPECT_LT(read_counter(cluster.sim(), "bft", cluster.replica_id(3), "view_changes_sent"), 25u);
 }
 
 TEST(BftRecoveryTest, EquivocatingPrimaryCannotSplitBackups) {
@@ -175,7 +176,7 @@ TEST(BftRecoveryTest, HelpLaggardProducesWeakCertificate) {
   ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
   cluster.settle(200000);
   EXPECT_EQ(cluster.replica(3).last_executed().value, 3u);
-  EXPECT_EQ(cluster.replica(3).stats().state_transfers, 1u);
+  EXPECT_EQ(read_counter(cluster.sim(), "bft", cluster.replica_id(3), "state_transfers"), 1u);
 }
 
 }  // namespace

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "bft/harness.hpp"
+#include "read_counter.hpp"
 
 namespace itdos::bft {
 namespace {
@@ -206,7 +207,7 @@ TEST(BftClusterTest, LaggingReplicaCatchesUpViaStateTransfer) {
     ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok());
   }
   cluster.settle();
-  EXPECT_GE(cluster.replica(3).stats().state_transfers, 1u);
+  EXPECT_GE(read_counter(cluster.sim(), "bft", cluster.replica_id(3), "state_transfers"), 1u);
   const auto& app = dynamic_cast<const CounterStateMachine&>(cluster.replica(3).app());
   EXPECT_EQ(app.value(), 20);
   EXPECT_EQ(cluster.replica(3).last_executed().value, 20u);
@@ -296,9 +297,9 @@ TEST(BftClusterTest, MessageCountsGrowWithGroupSize) {
   auto deliveries_for = [](int f) {
     Cluster cluster(fast_options(f), counter_factory());
     Client& client = cluster.add_client();
-    cluster.network().reset_stats();
+    const std::uint64_t before = read_counter(cluster.sim(), "net.packets_delivered");
     [&] { ASSERT_TRUE(cluster.invoke_sync(client, to_bytes("add:1")).is_ok()); }();
-    return cluster.network().stats().packets_delivered;
+    return read_counter(cluster.sim(), "net.packets_delivered") - before;
   };
   const auto d1 = deliveries_for(1);
   const auto d2 = deliveries_for(2);

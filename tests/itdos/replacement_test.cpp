@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "itdos/system.hpp"
+#include "read_counter.hpp"
 
 namespace itdos::core {
 namespace {
@@ -84,6 +85,10 @@ TEST_F(ReplacementTest, ReplacedElementRejoinsWithState) {
   for (int i = 0; i < 5; ++i) {
     ASSERT_TRUE(system.invoke_sync(client, ref, "add", one_arg(10)).is_ok());
   }
+  // The replacement keeps its predecessor's identity, so its counters
+  // continue the predecessor's.
+  const std::uint64_t executed_before = read_counter(system, domain, 1, "requests_executed");
+  const std::uint64_t bundles_before = read_counter(system, domain, 1, "bundles_received");
   system.crash_element(domain, 1);
   ASSERT_TRUE(system.invoke_sync(client, ref, "add", one_arg(10), seconds(10)).is_ok());
 
@@ -106,8 +111,9 @@ TEST_F(ReplacementTest, ReplacedElementRejoinsWithState) {
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().as_int64(), 100);
   // And it executes new requests like any other element.
-  EXPECT_GT(fresh.stats().requests_executed, 0u);
-  EXPECT_GE(fresh.stats().bundles_received, 2u);  // f+1 certified
+  EXPECT_GT(read_counter(system, domain, 1, "requests_executed"), executed_before);
+  EXPECT_GE(read_counter(system, domain, 1, "bundles_received") - bundles_before,
+            2u);  // f+1 certified
 }
 
 TEST_F(ReplacementTest, ReplacementRestoresVotingStrength) {

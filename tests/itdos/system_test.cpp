@@ -2,6 +2,7 @@
 // the paper's fault stories — heterogeneous voting, Byzantine elements,
 // proof-based expulsion, rekeying, nested invocations, firewall proxies.
 #include "itdos/system.hpp"
+#include "read_counter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -76,7 +77,7 @@ TEST_F(ItdosSystemTest, EndToEndInvocation) {
       system.invoke_sync(client, ref, "add", int_args({40, 2}));
   ASSERT_TRUE(result.is_ok()) << result.status().to_string();
   EXPECT_EQ(result.value().as_int64(), 42);
-  EXPECT_EQ(client.party().stats().votes_decided, 1u);
+  EXPECT_EQ(read_counter(system.sim(), "smiop", client.smiop_node(), "votes_decided"), 1u);
 }
 
 TEST_F(ItdosSystemTest, HeterogeneousElementsVoteDespiteDifferentWireBytes) {
@@ -143,7 +144,7 @@ TEST_F(ItdosSystemTest, ByteByByteVotingFailsUnderHeterogeneity) {
   const Result<Value> result =
       system.invoke_sync(client, ref, "scale", Value::sequence({Value::float64(21.0)}));
   EXPECT_FALSE(result.is_ok());
-  EXPECT_EQ(client.party().stats().votes_timed_out, 1u);
+  EXPECT_EQ(read_counter(system.sim(), "smiop", client.smiop_node(), "votes_timed_out"), 1u);
 
   // ...while the ITDOS middleware voter (inexact, on unmarshalled data)
   // decides on exactly the same replies.
@@ -171,7 +172,7 @@ TEST_F(ItdosSystemTest, SequentialInvocationsReuseConnection) {
     EXPECT_EQ(result.value().as_int64(), 2 * i);
   }
   EXPECT_EQ(client.orb().stats().connections_established, 1u);
-  EXPECT_EQ(client.party().stats().opens_sent, 1u);
+  EXPECT_EQ(read_counter(system.sim(), "smiop", client.smiop_node(), "opens_sent"), 1u);
 }
 
 TEST_F(ItdosSystemTest, UserExceptionVotedAndPropagated) {
@@ -217,8 +218,8 @@ TEST_F(ItdosSystemTest, ByzantineElementOutvotedDetectedAndExpelled) {
   EXPECT_EQ(result.value().as_int64(), 42);  // voter masks the lie
 
   system.settle();
-  EXPECT_GE(client.party().stats().faults_detected, 1u);
-  EXPECT_GE(client.party().stats().change_requests_sent, 1u);
+  EXPECT_GE(read_counter(system.sim(), "smiop", client.smiop_node(), "faults_detected"), 1u);
+  EXPECT_GE(read_counter(system.sim(), "smiop", client.smiop_node(), "change_requests_sent"), 1u);
   // The GM verified the signed-message proof and expelled the liar.
   const NodeId liar = system.element(domain, 2).smiop_node();
   EXPECT_TRUE(system.gm_element(0).state().is_expelled(domain, liar));
@@ -341,8 +342,8 @@ TEST_F(ItdosSystemTest, NestedInvocationAcrossDomains) {
   // the ordered request copies (decision at f+1 matching; later copies are
   // discarded via the request-id rule).
   system.settle();
-  EXPECT_GE(system.element(calc_domain, 0).stats().request_vote_copies, 2u);
-  EXPECT_GE(system.element(calc_domain, 0).stats().entries_discarded, 1u);
+  EXPECT_GE(read_counter(system, calc_domain, 0, "request_vote_copies"), 2u);
+  EXPECT_GE(read_counter(system, calc_domain, 0, "entries_discarded"), 1u);
 }
 
 TEST_F(ItdosSystemTest, FirewallBlocksGarbageButNotProtocol) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "net/process.hpp"
+#include "read_counter.hpp"
 
 namespace itdos::net {
 namespace {
@@ -62,7 +63,7 @@ TEST_F(NetworkTest, SendToUnknownNodeDropped) {
   Recorder a(net_, NodeId(1));
   a.send_to(NodeId(99), to_bytes("x"));
   sim_.run();
-  EXPECT_EQ(net_.stats().packets_dropped, 1u);
+  EXPECT_EQ(read_counter(sim_, "net.packets_dropped"), 1u);
 }
 
 TEST_F(NetworkTest, MulticastReachesAllMembersIncludingSender) {
@@ -99,7 +100,7 @@ TEST_F(NetworkTest, MulticastToEmptyGroupIsNoop) {
   Recorder a(net_, NodeId(1));
   a.multicast_to(McastGroupId(9), to_bytes("mc"));
   sim_.run();
-  EXPECT_EQ(net_.stats().packets_delivered, 0u);
+  EXPECT_EQ(read_counter(sim_, "net.packets_delivered"), 0u);
 }
 
 TEST_F(NetworkTest, GroupMembersListed) {
@@ -129,7 +130,7 @@ TEST_F(NetworkTest, CutLinkDropsBothDirections) {
   sim_.run();
   EXPECT_TRUE(a.received.empty());
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net_.stats().packets_dropped, 2u);
+  EXPECT_EQ(read_counter(sim_, "net.packets_dropped"), 2u);
   net_.set_link(NodeId(1), NodeId(2), true);
   a.send_to(NodeId(2), to_bytes("x"));
   sim_.run();
@@ -197,7 +198,7 @@ TEST_F(NetworkTest, InterceptorCanDrop) {
   a.send_to(NodeId(2), to_bytes("x"));
   sim_.run();
   EXPECT_TRUE(b.received.empty());
-  EXPECT_EQ(net_.stats().packets_dropped, 1u);
+  EXPECT_EQ(read_counter(sim_, "net.packets_dropped"), 1u);
 }
 
 TEST_F(NetworkTest, InterceptorClearRestores) {
@@ -220,12 +221,10 @@ TEST_F(NetworkTest, StatsCountTraffic) {
   a.send_to(NodeId(2), to_bytes("12345"));
   a.multicast_to(g, to_bytes("123"));
   sim_.run();
-  EXPECT_EQ(net_.stats().unicasts_sent, 1u);
-  EXPECT_EQ(net_.stats().multicasts_sent, 1u);
-  EXPECT_EQ(net_.stats().packets_delivered, 3u);  // 1 unicast + 2 mc copies
-  EXPECT_EQ(net_.stats().bytes_delivered, 5u + 3u + 3u);
-  net_.reset_stats();
-  EXPECT_EQ(net_.stats().unicasts_sent, 0u);
+  EXPECT_EQ(read_counter(sim_, "net.unicasts_sent"), 1u);
+  EXPECT_EQ(read_counter(sim_, "net.multicasts_sent"), 1u);
+  EXPECT_EQ(read_counter(sim_, "net.packets_delivered"), 3u);  // 1 unicast + 2 mc copies
+  EXPECT_EQ(read_counter(sim_, "net.bytes_delivered"), 5u + 3u + 3u);
 }
 
 TEST_F(NetworkTest, DeterministicAcrossRuns) {

@@ -5,6 +5,7 @@
 #include "shard/bank.hpp"
 #include "shard/sharded_load.hpp"
 #include "shard/topology.hpp"
+#include "read_counter.hpp"
 
 #include <gtest/gtest.h>
 
@@ -142,7 +143,7 @@ TEST(ShardRoutingTest, RoutedDepositsReachEveryShard) {
   }
   // Both shard domains executed their share of the stream.
   for (const DomainId domain : bank.topology().shard_domains()) {
-    EXPECT_GT(system.element(domain, 0).stats().requests_executed, 0u);
+    EXPECT_GT(read_counter(system, domain, 0, "requests_executed"), 0u);
   }
 }
 
@@ -248,13 +249,13 @@ TEST(ShardBankTest, ReplicatedCallerCopiesExecuteExactlyOnceAtCallee) {
   system.settle(200'000);
 
   for (int rank = 0; rank < system.domain_n(callee); ++rank) {
-    const core::ElementStats& stats = system.element(callee, rank).stats();
     // Every callee element saw the replicated callers' duplicate copies
     // (at least the f+1 the vote needs)...
-    EXPECT_GE(stats.request_vote_copies, static_cast<std::uint64_t>(caller_f + 1))
+    EXPECT_GE(read_counter(system, callee, rank, "request_vote_copies"),
+              static_cast<std::uint64_t>(caller_f + 1))
         << "rank " << rank;
     // ...but executed the nested request exactly once.
-    EXPECT_EQ(stats.requests_executed, 1u) << "rank " << rank;
+    EXPECT_EQ(read_counter(system, callee, rank, "requests_executed"), 1u) << "rank " << rank;
   }
 
   // State-level proof: a second voted read shows one deposit, not 3f+1.
@@ -336,9 +337,9 @@ TEST(ShardBankTest, ExplicitRebalanceMovesTraffic) {
   Result<Value> r = system.invoke_sync(bank.client(), bank.account_ref(account),
                                        "balance", Value::sequence({}), seconds(10));
   ASSERT_FALSE(r.is_ok());
-  const std::uint64_t before = system.element(domains[0], 0).stats().requests_executed;
-  EXPECT_GT(system.element(domains[1], 0).stats().requests_executed, 0u);
-  EXPECT_EQ(system.element(domains[0], 0).stats().requests_executed, before);
+  const std::uint64_t before = read_counter(system, domains[0], 0, "requests_executed");
+  EXPECT_GT(read_counter(system, domains[1], 0, "requests_executed"), 0u);
+  EXPECT_EQ(read_counter(system, domains[0], 0, "requests_executed"), before);
 }
 
 // ---------------------------------------------------------------------------
@@ -393,7 +394,7 @@ TEST(ShardedLoadTest, DepositMixSpreadsArrivalsAcrossShards) {
             report.offered);
   // The key mix reached both shard domains.
   for (const DomainId domain : bank.topology().shard_domains()) {
-    EXPECT_GT(system.element(domain, 0).stats().requests_executed, 0u)
+    EXPECT_GT(read_counter(system, domain, 0, "requests_executed"), 0u)
         << "domain " << domain.value;
   }
 }

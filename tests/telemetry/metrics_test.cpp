@@ -290,10 +290,13 @@ TEST(MetricsRegistryTest, InstrumentsHaveStableAddresses) {
   EXPECT_EQ(h, &reg.histogram("a.hist"));
 }
 
-TEST(MetricsRegistryTest, CounterValueDoesNotCreate) {
+TEST(MetricsRegistryTest, FindCounterDoesNotCreate) {
   MetricsRegistry reg;
-  EXPECT_EQ(reg.counter_value("never.touched"), 0u);
+  EXPECT_EQ(reg.find_counter("never.touched"), nullptr);
   EXPECT_TRUE(reg.counters().empty());
+  reg.counter("touched");
+  ASSERT_NE(reg.find_counter("touched"), nullptr);
+  EXPECT_EQ(reg.find_counter("touched")->value(), 0u);  // registered, never counted
   EXPECT_EQ(reg.find_histogram("never.touched"), nullptr);
 }
 
@@ -304,7 +307,7 @@ TEST(MetricsRegistryTest, ResetZeroesButKeepsRegistrations) {
   reg.gauge("g").set(9);
   reg.histogram("h").record(123);
   reg.reset();
-  EXPECT_EQ(reg.counter_value("x"), 0u);
+  EXPECT_EQ(c->value(), 0u);
   EXPECT_EQ(reg.gauge("g").peak(), 0);
   EXPECT_EQ(reg.histogram("h").count(), 0u);
   EXPECT_EQ(c, &reg.counter("x"));  // addresses survive reset
@@ -319,8 +322,10 @@ TEST(MetricsRegistryTest, MergeFoldsAllInstrumentKinds) {
   b.gauge("g").set(4);
   b.histogram("h").record(50);
   a.merge_from(b);
-  EXPECT_EQ(a.counter_value("c"), 5u);
-  EXPECT_EQ(a.counter_value("only_b"), 7u);
+  ASSERT_NE(a.find_counter("c"), nullptr);
+  EXPECT_EQ(a.find_counter("c")->value(), 5u);
+  ASSERT_NE(a.find_counter("only_b"), nullptr);
+  EXPECT_EQ(a.find_counter("only_b")->value(), 7u);
   EXPECT_EQ(a.gauge("g").value(), 4);
   ASSERT_NE(a.find_histogram("h"), nullptr);
   EXPECT_EQ(a.find_histogram("h")->count(), 1u);

@@ -5,8 +5,8 @@
 // domains the deployment has — the curves differ only in shard count. A
 // single domain saturates its replicated admission bound and sheds; four
 // domains split the stream and absorb it, which is the horizontal-scaling
-// claim the "shards_*" curves carry (scripts/bench_gate.py enforces the
-// 1 -> 4 goodput floor). BM_E12TellerTransfer adds the cross-domain price
+// claim the "shards_*" curves carry (bench/gates.json holds the 1 -> 4
+// goodput floor). BM_E12TellerTransfer adds the cross-domain price
 // tag: one replicated teller front issuing nested withdraw+deposit pairs
 // into two account domains.
 #include "bench_util.hpp"

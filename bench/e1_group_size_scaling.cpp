@@ -105,7 +105,7 @@ void BM_E1BatchPipelineSweep(benchmark::State& state) {
   // Batch-size x pipeline-depth sweep at f = 1 under saturating load:
   // 4 clients each keep `depth` requests in flight until 240 requests have
   // been ordered. Exported as a `curves` block (one curve per batch size,
-  // x = pipeline depth) so bench_gate.py can hold the batched-speedup
+  // x = pipeline depth) so bench/gates.json can hold the batched-speedup
   // floor: batching + pipelining must beat the single-slot baseline
   // (batch_1 at depth 1) by >= 2x goodput at saturation.
   const int batch_entries = static_cast<int>(state.range(0));

@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Runs the same fault scenario twice with the same seed and asserts the two
 # causal traces are byte-identical (trace_diff.py reports the first divergent
-# event otherwise) and the two summary lines (the tool's stdout: completions,
-# expulsions, recoveries, MTTR, element discards, sheds, overloads) match. Registered as the `fault_trace_determinism` ctest.
+# event otherwise) and the two summary lines (the tool's stdout: every
+# ScenarioResult field but the trace) match. Registered as the
+# `fault_trace_determinism` ctest.
 #
 # With a second tool the two runs come from two builds instead (run A from
 # <fault_scenario_tool>, run B from [tool_b]): a refactor that must keep

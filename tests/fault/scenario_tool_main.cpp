@@ -7,12 +7,14 @@
 //
 // `run` executes one scenario, optionally dumps its causal trace JSONL, and
 // exits nonzero if the oracle recorded any violation (printing the forensic
-// lines to stderr). Its one-line summary carries every ScenarioResult count
-// (recoveries started/completed/aborted, last MTTR, per-rank element
-// discards, sheds, overloads), so comparing two builds' summaries checks
-// those numbers alongside the traces. `sweep` runs every scenario across consecutive seeds —
-// the engine behind scripts/soak.sh. Determinism tests run `run` twice with
-// the same seed and diff the two trace files.
+// lines to stderr). Its one-line summary carries every ScenarioResult field
+// but the trace (completions, detection, expulsions, rekeys, view changes,
+// recoveries started/completed/aborted, last MTTR, membership updates,
+// per-rank element discards, sheds, overloads, adaptive retargets, control
+// adjustments, violation count), so comparing two builds' summaries checks
+// those numbers alongside the traces. `sweep` runs every scenario across
+// consecutive seeds — the engine behind scripts/soak.sh. Determinism tests
+// run `run` twice with the same seed and diff the two trace files.
 //
 // `probe` deliberately crosses the f+1 boundary (two silent replicas with
 // f=1) and expects the oracle to object: it exits nonzero if NO violation
@@ -59,16 +61,21 @@ int run_one(const std::string& name, std::uint64_t seed,
   }
   std::cout << result.name << " seed=" << result.seed << " completed "
             << result.requests_completed << "/" << result.requests_sent
+            << " detection=" << result.detection
             << " expulsions=" << result.expulsions
             << " rekeys=" << result.rekeys
             << " view_changes=" << result.view_changes
             << " recoveries=" << result.recoveries_started << "/"
             << result.recoveries_completed << "/" << result.recoveries_aborted
-            << " last_mttr_ns=" << result.last_mttr_ns << " element_discards=[";
+            << " last_mttr_ns=" << result.last_mttr_ns
+            << " membership_updates=" << result.membership_updates
+            << " element_discards=[";
   for (std::size_t i = 0; i < result.element_discards.size(); ++i) {
     std::cout << (i == 0 ? "" : ",") << result.element_discards[i];
   }
   std::cout << "] sheds=" << result.sheds << " overloads=" << result.overloads
+            << " adaptive_retargets=" << result.adaptive_retargets
+            << " control_adjustments=" << result.control_adjustments
             << " violations=" << result.violations.size() << "\n";
   if (!result.clean()) {
     print_violations(result);

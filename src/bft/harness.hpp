@@ -56,6 +56,8 @@ class Cluster {
 
   /// Invokes synchronously: runs the simulation until the request completes
   /// or `timeout_ns` of simulated time elapses (kUnavailable on timeout).
+  /// A timed-out request stays in flight; its completion may still fire
+  /// later and is then dropped.
   Result<Bytes> invoke_sync(Client& client, BufView payload,
                             std::int64_t timeout_ns = seconds(5));
 

@@ -213,17 +213,20 @@ Result<cdr::Value> ItdosSystem::invoke_sync(ItdosClient& client,
                                             const std::string& operation,
                                             cdr::Value arguments,
                                             std::int64_t timeout_ns) {
-  std::optional<Result<cdr::Value>> outcome;
+  // The slot is shared with the completion: after a timeout return the
+  // invocation is still pending, and a late reply or the voter's timeout
+  // error must not write into this returned frame.
+  auto outcome = std::make_shared<std::optional<Result<cdr::Value>>>();
   client.orb().invoke(ref, operation, std::move(arguments),
-                      [&outcome](Result<cdr::Value> r) { outcome = std::move(r); });
+                      [outcome](Result<cdr::Value> r) { *outcome = std::move(r); });
   const SimTime deadline = sim_.now() + timeout_ns;
-  while (!outcome && sim_.now() < deadline) {
+  while (!outcome->has_value() && sim_.now() < deadline) {
     if (!sim_.step()) break;
   }
-  if (!outcome) {
+  if (!outcome->has_value()) {
     return error(Errc::kUnavailable, "ITDOS invocation did not complete in time");
   }
-  return std::move(*outcome);
+  return std::move(**outcome);
 }
 
 }  // namespace itdos::core

@@ -133,7 +133,9 @@ class ItdosSystem {
 
   // --- driving ---
 
-  /// Runs the simulation until the invocation completes or times out.
+  /// Runs the simulation until the invocation completes or times out
+  /// (kUnavailable). A timed-out invocation stays pending; its completion
+  /// may still fire later and is then dropped.
   Result<cdr::Value> invoke_sync(ItdosClient& client, const orb::ObjectRef& ref,
                                  const std::string& operation, cdr::Value arguments,
                                  std::int64_t timeout_ns = seconds(5));

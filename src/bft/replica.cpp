@@ -1048,9 +1048,8 @@ void Replica::handle_view_change(const Envelope& env) {
   }
 }
 
-std::vector<PrePrepareMsg> Replica::compute_new_view_pre_prepares(
-    ViewId view, const std::vector<SignedViewChange>& vcs, std::uint64_t* min_s_out,
-    std::uint64_t* max_s_out) const {
+Replica::NewViewO Replica::compute_new_view_pre_prepares(
+    ViewId view, const std::vector<SignedViewChange>& vcs) const {
   // min_s: the highest stable point vouched for by f+1 view changes (at
   // least one of which is from a correct replica). Taking the plain maximum
   // would let one Byzantine replica inflate its stable_seq and cause
@@ -1066,11 +1065,10 @@ std::vector<PrePrepareMsg> Replica::compute_new_view_pre_prepares(
   std::sort(stable_claims.begin(), stable_claims.end(), std::greater<>());
   const std::size_t pick = std::min(stable_claims.size() - 1,
                                     static_cast<std::size_t>(config_.f));
-  std::uint64_t min_s = stable_claims[pick];
-  max_s = std::max(max_s, min_s);
-
-  std::vector<PrePrepareMsg> out;
-  for (std::uint64_t seq = min_s + 1; seq <= max_s; ++seq) {
+  NewViewO o;
+  o.min_s = stable_claims[pick];
+  o.max_s = std::max(max_s, o.min_s);
+  for (std::uint64_t seq = o.min_s + 1; seq <= o.max_s; ++seq) {
     // Pick the prepared proof from the highest view for this seq.
     const PreparedProof* best = nullptr;
     for (const SignedViewChange& svc : vcs) {
@@ -1087,11 +1085,9 @@ std::vector<PrePrepareMsg> Replica::compute_new_view_pre_prepares(
       pp.is_batch = best->is_batch;
       pp.request = best->request;
     }  // else: null request
-    out.push_back(std::move(pp));
+    o.pre_prepares.push_back(std::move(pp));
   }
-  *min_s_out = min_s;
-  *max_s_out = max_s;
-  return out;
+  return o;
 }
 
 void Replica::process_view_change_quorum(ViewId new_view) {
@@ -1108,15 +1104,13 @@ void Replica::process_view_change_quorum(ViewId new_view) {
     msg.view_changes.push_back(svc);
     if (static_cast<int>(msg.view_changes.size()) == config_.quorum()) break;
   }
-  std::uint64_t min_s = 0;
-  std::uint64_t max_s = 0;
-  msg.pre_prepares =
-      compute_new_view_pre_prepares(new_view, msg.view_changes, &min_s, &max_s);
+  const NewViewO o = compute_new_view_pre_prepares(new_view, msg.view_changes);
+  msg.pre_prepares = o.pre_prepares;
 
   multicast_signed(MsgType::kNewView, msg.encode());
   metrics_.new_views_sent->inc();
   tel_->trace(telemetry::TraceKind::kBftNewView, id(), 0, new_view.value);
-  adopt_new_view(msg);
+  adopt_new_view(new_view, o);
 }
 
 void Replica::handle_new_view(const Envelope& env) {
@@ -1146,28 +1140,20 @@ void Replica::handle_new_view(const Envelope& env) {
     }
   }
   // Recompute O and insist the primary computed it honestly.
-  std::uint64_t min_s = 0;
-  std::uint64_t max_s = 0;
-  const std::vector<PrePrepareMsg> expected =
-      compute_new_view_pre_prepares(msg.view, msg.view_changes, &min_s, &max_s);
-  if (expected != msg.pre_prepares) {
+  const NewViewO o = compute_new_view_pre_prepares(msg.view, msg.view_changes);
+  if (o.pre_prepares != msg.pre_prepares) {
     ITDOS_WARN(kLog) << id().to_string() << " rejects NEW-VIEW with inconsistent O";
     return;
   }
-  adopt_new_view(msg);
+  adopt_new_view(msg.view, o);
 }
 
-void Replica::adopt_new_view(const NewViewMsg& msg) {
-  std::uint64_t min_s = 0;
-  std::uint64_t max_s = 0;
-  const std::vector<PrePrepareMsg> pre_prepares =
-      compute_new_view_pre_prepares(msg.view, msg.view_changes, &min_s, &max_s);
-
-  view_ = msg.view;
+void Replica::adopt_new_view(ViewId view, const NewViewO& o) {
+  view_ = view;
   in_view_change_ = false;
   view_change_attempts_ = 0;
   enter_view(view_);
-  next_seq_ = max_s;
+  next_seq_ = o.max_s;
   disarm_request_timer();
 
   // The proposal/forwarding dedup horizons are VIEW-scoped: a request the
@@ -1183,14 +1169,14 @@ void Replica::adopt_new_view(const NewViewMsg& msg) {
   // fetch state. A single view-change's digest claim is not a certificate,
   // so ask the whole group and install on an f+1-matching weak certificate
   // (handled in handle_state_response).
-  if (min_s > last_executed_) {
+  if (o.min_s > last_executed_) {
     StateRequestMsg request;
-    request.seq = SeqNum(min_s);
+    request.seq = SeqNum(o.min_s);
     request.requester = id();
     multicast_authenticated(MsgType::kStateRequest, request.encode());
   }
 
-  for (const PrePrepareMsg& pp : pre_prepares) {
+  for (const PrePrepareMsg& pp : o.pre_prepares) {
     const std::uint64_t seq = pp.seq.value;
     if (counters::before_eq(seq, last_executed_)) continue;  // already executed (committed earlier)
     // Requests the new view re-proposes ARE in flight: restore their dedup

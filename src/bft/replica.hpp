@@ -225,11 +225,17 @@ class Replica : public net::Process {
 
   // --- view change ---
   void start_view_change(ViewId new_view);
+  /// The new view's O set: the re-proposals for every seq in
+  /// (min_s, max_s], computed once per NEW-VIEW and handed to adopt_new_view.
+  struct NewViewO {
+    std::uint64_t min_s = 0;  // stable point vouched for by f+1 view changes
+    std::uint64_t max_s = 0;  // highest prepared seq claimed (at least min_s)
+    std::vector<PrePrepareMsg> pre_prepares;
+  };
   void process_view_change_quorum(ViewId new_view);
-  void adopt_new_view(const NewViewMsg& msg);
-  std::vector<PrePrepareMsg> compute_new_view_pre_prepares(
-      ViewId view, const std::vector<SignedViewChange>& vcs,
-      std::uint64_t* min_s_out, std::uint64_t* max_s_out) const;
+  void adopt_new_view(ViewId view, const NewViewO& o);
+  NewViewO compute_new_view_pre_prepares(
+      ViewId view, const std::vector<SignedViewChange>& vcs) const;
 
   // --- plumbing ---
   void multicast_authenticated(MsgType type, BufView body);

@@ -37,9 +37,9 @@ struct TimeWindow {
 /// window is open. Effects compose per packet: corruption mutates the
 /// payload, then the drop/duplicate/delay dice roll independently.
 struct LinkFault {
-  NodeId from_node;
-  std::optional<NodeId> to_node;  // nullopt: every destination
-  TimeWindow window;
+  NodeId from_node{};
+  std::optional<NodeId> to_node{};  // nullopt: every destination
+  TimeWindow window{};
   double drop = 0.0;               // P(packet silently vanishes)
   double duplicate = 0.0;          // P(an extra delayed copy is injected)
   double corrupt = 0.0;            // P(one payload byte is flipped)
@@ -68,7 +68,7 @@ struct PartitionWindow {
 /// window (0 = never).
 struct ReplicaFault {
   int rank = 0;
-  TimeWindow window;
+  TimeWindow window{};
   bool silent = false;
   bool corrupt_macs = false;
   bool equivocate = false;
@@ -121,7 +121,7 @@ struct GmFault {
 /// laggard. Each retarget is traced (adversary.retarget), so the duel
 /// between this adversary and the response controller is replayable.
 struct AdaptiveFault {
-  TimeWindow window;
+  TimeWindow window{};
   std::int64_t interval_ns = millis(50);  // retarget cadence
   // Degradation applied to the current target's OUTBOUND traffic.
   double drop = 0.0;

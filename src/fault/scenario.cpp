@@ -1,6 +1,7 @@
 #include "fault/scenario.hpp"
 
 #include <functional>
+#include <optional>
 #include <set>
 #include <stdexcept>
 
@@ -13,6 +14,21 @@
 
 namespace itdos::fault {
 namespace {
+
+/// The fields every scenario reports; callers add their own.
+ScenarioResult base_result(const std::string& name, std::uint64_t seed,
+                           const Oracle& oracle, const telemetry::Hub& hub,
+                           std::size_t sent, std::size_t completed) {
+  ScenarioResult result;
+  result.name = name;
+  result.seed = seed;
+  result.violations = oracle.violations();
+  result.requests_sent = sent;
+  result.requests_completed = completed;
+  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
+  result.trace_jsonl = hub.tracer().export_jsonl();
+  return result;
+}
 
 // ---------------------------------------------------------------------------
 // BFT-cluster scenarios: a 3f+1 replica group ordering counter increments
@@ -39,6 +55,7 @@ ScenarioResult run_cluster(const std::string& name, std::uint64_t seed,
     faulty_ranks.insert(fault.rank);
   }
 
+  plan.seed = seed;
   FaultInjector injector(cluster.network(), plan);
   injector.arm_links();
   for (const ReplicaFault& fault : injector.plan().replica_faults) {
@@ -69,17 +86,8 @@ ScenarioResult run_cluster(const std::string& name, std::uint64_t seed,
     cluster.sim().run_for(millis(50));
   }
   oracle.check_liveness(*completed, static_cast<std::size_t>(requests));
-
-  const telemetry::Hub& hub = cluster.sim().telemetry();
-  ScenarioResult result;
-  result.name = name;
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = static_cast<std::size_t>(requests);
-  result.requests_completed = *completed;
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.trace_jsonl = hub.tracer().export_jsonl();
-  return result;
+  return base_result(name, seed, oracle, cluster.sim().telemetry(),
+                     static_cast<std::size_t>(requests), *completed);
 }
 
 std::set<NodeId> cluster_nodes(const std::set<int>& ranks) {
@@ -89,10 +97,8 @@ std::set<NodeId> cluster_nodes(const std::set<int>& ranks) {
   return nodes;
 }
 
-FaultPlan all_links_plan(std::uint64_t seed, int n,
-                         const std::function<void(LinkFault&)>& configure) {
+FaultPlan all_links_plan(int n, const std::function<void(LinkFault&)>& configure) {
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{seconds(2)};
   for (int rank = 0; rank < n; ++rank) {
     LinkFault fault;
@@ -104,8 +110,15 @@ FaultPlan all_links_plan(std::uint64_t seed, int n,
   return plan;
 }
 
+/// Cuts replica `rank` from the other three over [form, heal).
+PartitionWindow isolate_rank(int rank, SimTime form, SimTime heal) {
+  std::set<int> rest{0, 1, 2, 3};
+  rest.erase(rank);
+  return {cluster_nodes({rank}), cluster_nodes(rest), form, heal};
+}
+
 ScenarioResult scenario_drop_storm(std::uint64_t seed) {
-  FaultPlan plan = all_links_plan(seed, 4, [](LinkFault& fault) {
+  FaultPlan plan = all_links_plan(4, [](LinkFault& fault) {
     fault.drop = 0.25;
   });
   return run_cluster("drop_storm", seed, std::move(plan), kClusterRequests,
@@ -113,7 +126,7 @@ ScenarioResult scenario_drop_storm(std::uint64_t seed) {
 }
 
 ScenarioResult scenario_delay_spike(std::uint64_t seed) {
-  FaultPlan plan = all_links_plan(seed, 4, [](LinkFault& fault) {
+  FaultPlan plan = all_links_plan(4, [](LinkFault& fault) {
     fault.delay_probability = 0.5;
     fault.delay_min_ns = millis(5);
     fault.delay_max_ns = millis(40);
@@ -123,7 +136,7 @@ ScenarioResult scenario_delay_spike(std::uint64_t seed) {
 }
 
 ScenarioResult scenario_duplicate_flood(std::uint64_t seed) {
-  FaultPlan plan = all_links_plan(seed, 4, [](LinkFault& fault) {
+  FaultPlan plan = all_links_plan(4, [](LinkFault& fault) {
     fault.duplicate = 0.5;
   });
   return run_cluster("duplicate_flood", seed, std::move(plan),
@@ -134,27 +147,18 @@ ScenarioResult scenario_corrupt_link(std::uint64_t seed) {
   // One replica's outbound traffic is bit-flipped half the time; MACs reject
   // the garbage and retransmissions recover the rest.
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{seconds(2)};
-  LinkFault fault;
-  fault.from_node = NodeId(2);
-  fault.corrupt = 0.5;
-  fault.window.until = plan.heal_time;
-  plan.link_faults.push_back(fault);
+  plan.link_faults.push_back(
+      {.from_node = NodeId(2), .window = {.until = plan.heal_time}, .corrupt = 0.5});
   return run_cluster("corrupt_link", seed, std::move(plan), kClusterRequests,
                      seconds(10));
 }
 
 ScenarioResult scenario_partition_minority(std::uint64_t seed) {
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{seconds(1)};
-  PartitionWindow window;
-  window.side_a = cluster_nodes({3});
-  window.side_b = cluster_nodes({0, 1, 2});
-  window.form = SimTime{0};  // before the first commit, or nothing is stressed
-  window.heal = plan.heal_time;
-  plan.partitions.push_back(window);
+  // Formed before the first commit, or nothing is stressed.
+  plan.partitions.push_back(isolate_rank(3, SimTime{0}, plan.heal_time));
   return run_cluster("partition_minority", seed, std::move(plan),
                      kClusterRequests, seconds(10));
 }
@@ -163,26 +167,16 @@ ScenarioResult scenario_partition_primary(std::uint64_t seed) {
   // Isolating the view-0 primary forces a view change; requests must still
   // complete once the group re-forms around the new primary.
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{millis(1500)};
-  PartitionWindow window;
-  window.side_a = cluster_nodes({0});
-  window.side_b = cluster_nodes({1, 2, 3});
-  window.form = SimTime{0};  // before the first commit, or nothing is stressed
-  window.heal = plan.heal_time;
-  plan.partitions.push_back(window);
+  // Formed before the first commit, or nothing is stressed.
+  plan.partitions.push_back(isolate_rank(0, SimTime{0}, plan.heal_time));
   return run_cluster("partition_primary", seed, std::move(plan),
                      kClusterRequests, seconds(12));
 }
 
 ScenarioResult scenario_silent_replica(std::uint64_t seed) {
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // nothing heals; f = 1 absorbs the fault
-  ReplicaFault fault;
-  fault.rank = 3;
-  fault.silent = true;
-  plan.replica_faults.push_back(fault);
+  FaultPlan plan;  // nothing heals; f = 1 absorbs the fault
+  plan.replica_faults.push_back({.rank = 3, .silent = true});
   return run_cluster("silent_replica", seed, std::move(plan),
                      kClusterRequests, seconds(10));
 }
@@ -191,29 +185,25 @@ ScenarioResult scenario_corrupt_mac_replica(std::uint64_t seed) {
   // A replica whose authenticators never verify is indistinguishable from a
   // silent one to its peers — the quorum math must absorb it.
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};
-  ReplicaFault fault;
-  fault.rank = 3;
-  fault.corrupt_macs = true;
-  plan.replica_faults.push_back(fault);
+  plan.replica_faults.push_back({.rank = 3, .corrupt_macs = true});
   return run_cluster("corrupt_mac_replica", seed, std::move(plan),
                      kClusterRequests, seconds(10));
 }
 
-ScenarioResult scenario_equivocating_primary(std::uint64_t seed) {
-  // The view-0 primary sends conflicting pre-prepares per backup; no quorum
-  // can form, the view-change timeout fires, and the next primary takes
-  // over (Castro-Liskov's documented recovery; DESIGN.md §ordering).
+/// The view-0 primary sends conflicting pre-prepares per backup for the
+/// first second.
+FaultPlan equivocating_primary_plan() {
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{seconds(1)};
-  ReplicaFault fault;
-  fault.rank = 0;
-  fault.equivocate = true;
-  fault.window.until = plan.heal_time;
-  plan.replica_faults.push_back(fault);
-  return run_cluster("equivocating_primary", seed, std::move(plan),
+  plan.replica_faults.push_back(
+      {.rank = 0, .window = {.until = plan.heal_time}, .equivocate = true});
+  return plan;
+}
+
+ScenarioResult scenario_equivocating_primary(std::uint64_t seed) {
+  // No quorum can form, the view-change timeout fires, and the next primary
+  // takes over (Castro-Liskov's documented recovery; DESIGN.md §ordering).
+  return run_cluster("equivocating_primary", seed, equivocating_primary_plan(),
                      kClusterRequests, seconds(12));
 }
 
@@ -232,16 +222,9 @@ ScenarioResult scenario_batch_equivocating_primary(std::uint64_t seed) {
   // the view change fires, and the whole batch is either re-proposed
   // atomically by the next primary or retransmitted by the clients. The
   // oracle asserts no divergent execution and no partial entry survival.
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{seconds(1)};
-  ReplicaFault fault;
-  fault.rank = 0;
-  fault.equivocate = true;
-  fault.window.until = plan.heal_time;
-  plan.replica_faults.push_back(fault);
-  return run_cluster("batch_equivocating_primary", seed, std::move(plan), 16,
-                     seconds(12), batched_tuning);
+  return run_cluster("batch_equivocating_primary", seed,
+                     equivocating_primary_plan(), 16, seconds(12),
+                     batched_tuning);
 }
 
 ScenarioResult scenario_viewchange_mid_pipeline(std::uint64_t seed) {
@@ -251,14 +234,9 @@ ScenarioResult scenario_viewchange_mid_pipeline(std::uint64_t seed) {
   // once under the new primary (re-proposal from prepared proofs or client
   // retransmission after the dedup-horizon reset).
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{millis(1500)};
-  PartitionWindow window;
-  window.side_a = cluster_nodes({0});
-  window.side_b = cluster_nodes({1, 2, 3});
-  window.form = SimTime{micros(250)};  // first batches are mid-agreement
-  window.heal = plan.heal_time;
-  plan.partitions.push_back(window);
+  // Formed while the first batches are mid-agreement.
+  plan.partitions.push_back(isolate_rank(0, SimTime{micros(250)}, plan.heal_time));
   return run_cluster("viewchange_mid_pipeline", seed, std::move(plan), 20,
                      seconds(12), batched_tuning);
 }
@@ -269,32 +247,26 @@ ScenarioResult scenario_stale_view_replay(std::uint64_t seed) {
   // replays its stale envelope every 100ms; correct peers must discard the
   // replays without spurious view changes or lost liveness.
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{seconds(2)};
-  PartitionWindow window;
-  window.side_a = cluster_nodes({0});
-  window.side_b = cluster_nodes({1, 2, 3});
-  window.form = SimTime{0};
-  window.heal = SimTime{millis(500)};
-  plan.partitions.push_back(window);
-  ReplicaFault fault;
-  fault.rank = 2;
-  fault.window.from = SimTime{millis(600)};
-  fault.window.until = plan.heal_time;
-  fault.stale_replay_period_ns = millis(100);
-  plan.replica_faults.push_back(fault);
+  plan.partitions.push_back(isolate_rank(0, SimTime{0}, SimTime{millis(500)}));
+  plan.replica_faults.push_back(
+      {.rank = 2,
+       .window = {.from = SimTime{millis(600)}, .until = plan.heal_time},
+       .stale_replay_period_ns = millis(100)});
   return run_cluster("stale_view_replay", seed, std::move(plan),
                      kClusterRequests, seconds(12));
 }
 
 // ---------------------------------------------------------------------------
 // ITDOS scenarios: the full stack — SMIOP connections, unmarshalled voting,
-// Group Manager detection / expulsion / rekey.
+// Group Manager detection / expulsion / rekey — plus recovery (src/recovery/,
+// DESIGN.md §6d), sharded deployments (§6g) and admission control (§6f).
 // ---------------------------------------------------------------------------
 
 class SumServant : public orb::Servant {
  public:
-  std::string interface_name() const override { return "IDL:fault/Sum:1.0"; }
+  static constexpr const char* kInterface = "IDL:fault/Sum:1.0";
+  std::string interface_name() const override { return kInterface; }
   void dispatch(const std::string&, const cdr::Value& args, orb::ServerContext&,
                 orb::ReplySinkPtr sink) override {
     std::int64_t sum = 0;
@@ -303,104 +275,214 @@ class SumServant : public orb::Servant {
   }
 };
 
-/// invoke_sync with a heap-allocated outcome slot: under faults the
-/// completion may fire after a timeout return, which must not write into a
-/// dead stack frame.
-Result<cdr::Value> safe_invoke(core::ItdosSystem& system,
-                               core::ItdosClient& client,
-                               const orb::ObjectRef& ref,
-                               const std::string& operation, cdr::Value args,
-                               std::int64_t timeout_ns) {
-  auto outcome = std::make_shared<std::optional<Result<cdr::Value>>>();
-  client.orb().invoke(ref, operation, std::move(args),
-                      [outcome](Result<cdr::Value> r) { *outcome = std::move(r); });
-  const SimTime deadline = system.sim().now() + timeout_ns;
-  while (!outcome->has_value() && system.sim().now() < deadline) {
-    if (!system.sim().step()) break;
+/// A stateful accumulator WITH persistence: recovery scenarios must move real
+/// servant state through the f+1 byte-identical bundle certification.
+class PersistentSum : public orb::Servant {
+ public:
+  static constexpr const char* kInterface = "IDL:fault/PSum:1.0";
+  std::string interface_name() const override { return kInterface; }
+
+  void dispatch(const std::string& operation, const cdr::Value& args,
+                orb::ServerContext&, orb::ReplySinkPtr sink) override {
+    if (operation == "add") {
+      for (const auto& v : args.elements()) total_ += v.as_int64();
+    }
+    sink->reply(cdr::Value::int64(total_));
   }
-  if (!outcome->has_value()) {
-    return error(Errc::kUnavailable, "fault-scenario invocation timed out");
+
+  Result<Bytes> save_state() const override { return wire::encode(total_); }
+
+  Status load_state(ByteView state) override {
+    ITDOS_ASSIGN_OR_RETURN(total_, wire::decode<std::int64_t>(state));
+    return Status::ok();
   }
-  return std::move(**outcome);
+
+ private:
+  std::int64_t total_ = 0;
+};
+
+cdr::Value int_args(std::initializer_list<std::int64_t> values) {
+  std::vector<cdr::Value> elems;
+  for (const std::int64_t v : values) elems.push_back(cdr::Value::int64(v));
+  return cdr::Value::sequence(std::move(elems));
 }
 
-/// Builds the system first, then asks `build_plan` for the fault plan —
-/// plans that target specific endpoints (partitions around an element's
-/// SMIOP node, say) need the directory's node-id assignments, which only
-/// exist once the deployment is up.
+std::uint64_t sum_shed_gauges(const telemetry::MetricsRegistry& registry) {
+  std::uint64_t total = 0;
+  for (const auto& [gauge_name, gauge] : registry.gauges()) {
+    if (gauge_name.starts_with("admission.") && gauge_name.ends_with(".shed")) {
+      total += static_cast<std::uint64_t>(gauge.value());
+    }
+  }
+  return total;
+}
+
+/// The deployment every ITDOS-stack scenario drives: the system, the
+/// injector that works it and the oracle that referees it. A scenario runs
+/// the steps in its own order, because node ids and the simulator's event
+/// sequence numbers follow that order: add_domain (or build a bank on
+/// `system`), arm, watch, add_client, call, finish.
+struct Rig {
+  explicit Rig(std::uint64_t run_seed, core::SystemOptions options = {})
+      : seed(run_seed), system(seeded(std::move(options), run_seed)),
+        oracle(system.sim().telemetry()) {}
+
+  static core::SystemOptions seeded(core::SystemOptions options, std::uint64_t seed) {
+    options.seed = seed;
+    return options;
+  }
+
+  /// A one-object domain (f = 1, exact voting): every element hosts a fresh
+  /// `Servant` under key 1. Returns the domain and the object's reference.
+  template <class Servant>
+  std::pair<DomainId, orb::ObjectRef> add_domain() {
+    const DomainId domain = system.add_domain(
+        1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
+          // Key 1 is free in a freshly built domain; activation cannot fail.
+          (void)adapter.activate_with_key(ObjectId(1), std::make_shared<Servant>());
+        });
+    return {domain, system.object_ref(domain, ObjectId(1), Servant::kInterface)};
+  }
+
+  /// Arms every fault of `plan` (seeded with the run's seed): element and
+  /// adaptive faults against `domain`, client faults against
+  /// `clients[client_index]`.
+  void arm(FaultPlan plan, DomainId domain,
+           const std::vector<core::ItdosClient*>& clients = {}) {
+    plan.seed = seed;
+    injector.emplace(system.network(), std::move(plan));
+    injector->arm_links();
+    for (const ElementFault& fault : injector->plan().element_faults) {
+      injector->arm_element(fault, system, domain);
+      if (fault.kind == ElementFault::Kind::kDissentingReplies) {
+        dissenters.insert({domain, fault.rank});
+      }
+    }
+    for (const GmFault& fault : injector->plan().gm_faults) {
+      injector->arm_gm(fault, system);
+    }
+    for (const AdaptiveFault& fault : injector->plan().adaptive_faults) {
+      injector->arm_adaptive(fault, system, domain);
+    }
+    for (const ClientFault& fault : injector->plan().client_faults) {
+      injector->arm_client(fault, *clients.at(fault.client_index));
+    }
+  }
+
+  /// Watches `manager` with the oracle; finish() then also checks that every
+  /// recovering domain is back at 3f+1 and reports the manager's counts.
+  void watch_recovery(recovery::RecoveryManager& manager) {
+    oracle.watch_recovery(manager);
+    recovery_manager = &manager;
+  }
+
+  /// Watches the GM elements (group 0) and every correct element of
+  /// `domains` (groups 1, 2, ... in order). Dissenting elements are not
+  /// correct, so they are not watched.
+  void watch(const std::vector<DomainId>& domains) {
+    for (int i = 0; i < system.gm_n(); ++i) {
+      oracle.watch_replica(0, system.gm_element(i).replica());
+      oracle.watch_gm(system.gm_element(i));
+    }
+    int group = 1;
+    for (const DomainId domain : domains) {
+      for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+        if (!dissenters.contains({domain, rank})) {
+          oracle.watch_replica(group, system.element(domain, rank).replica());
+        }
+      }
+      ++group;
+    }
+  }
+
+  core::ItdosClient& add_client() {
+    core::ItdosClient& client = system.add_client();
+    oracle.watch_party(client.party());
+    return client;
+  }
+
+  /// One synchronous invocation; it completes if it returns `expect` (any
+  /// value when `expect` is empty).
+  void call(core::ItdosClient& client, const orb::ObjectRef& ref,
+            const std::string& operation, cdr::Value args,
+            std::optional<std::int64_t> expect = std::nullopt,
+            std::int64_t timeout_ns = seconds(30)) {
+    ++sent;
+    const Result<cdr::Value> result =
+        system.invoke_sync(client, ref, operation, std::move(args), timeout_ns);
+    if (result.is_ok() && (!expect || result.value().as_int64() == *expect)) {
+      ++completed;
+    }
+  }
+
+  /// Settles the run, applies the final oracle checks and fills the fields
+  /// every ITDOS scenario reports.
+  ScenarioResult finish(const std::string& name) {
+    system.settle();
+    oracle.check_liveness(completed, sent);
+    const core::GmStateMachine& gm = system.gm_element(0).state();
+    oracle.check_expulsions(gm);
+    if (recovery_manager != nullptr) oracle.check_membership(gm, system.directory());
+
+    const telemetry::Hub& hub = system.sim().telemetry();
+    ScenarioResult result = base_result(name, seed, oracle, hub, sent, completed);
+    result.expulsions = gm.expulsions();
+    result.detection = result.expulsions > 0;
+    result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
+    result.membership_updates =
+        hub.tracer().count(telemetry::TraceKind::kGmMembershipUpdate);
+    if (recovery_manager != nullptr) {
+      const recovery::RecoveryStats stats = recovery_manager->stats();
+      result.recoveries_started = stats.started;
+      result.recoveries_completed = stats.completed;
+      result.recoveries_aborted = stats.aborted;
+      result.last_mttr_ns = stats.last_mttr_ns;
+    }
+    result.sheds = sum_shed_gauges(hub.metrics());
+    result.adaptive_retargets = injector ? injector->retargets() : 0;
+    return result;
+  }
+
+  /// `element.<node>.entries_discarded` of each current element of
+  /// `domain`, by rank.
+  std::vector<std::uint64_t> element_discards(DomainId domain) {
+    const auto& counters = system.sim().telemetry().metrics().counters();
+    std::vector<std::uint64_t> discards;
+    for (int rank = 0; rank < system.domain_n(domain); ++rank) {
+      const NodeId node = system.element(domain, rank).smiop_node();
+      discards.push_back(
+          counters.at("element." + node.to_string() + ".entries_discarded").value());
+    }
+    return discards;
+  }
+
+  std::uint64_t seed;
+  core::ItdosSystem system;
+  Oracle oracle;
+  std::optional<FaultInjector> injector;
+  std::set<std::pair<DomainId, int>> dissenters;
+  recovery::RecoveryManager* recovery_manager = nullptr;
+  std::size_t sent = 0;
+  std::size_t completed = 0;
+};
+
+/// The single-domain run: a SumServant domain, the plan `build_plan` makes
+/// for it, and `requests` serial adds from one client. Plans that target
+/// specific endpoints need the directory's node ids, which exist only once
+/// the deployment is up.
 ScenarioResult run_itdos_with(
     const std::string& name, std::uint64_t seed,
     const std::function<FaultPlan(const core::ItdosSystem&, DomainId)>& build_plan,
     int requests) {
-  core::SystemOptions options;
-  options.seed = seed;
-  core::ItdosSystem system(options);
-  const DomainId domain = system.add_domain(
-      1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
-        // Key 1 is free in a freshly built domain; activation cannot fail.
-        (void)adapter.activate_with_key(ObjectId(1),
-                                        std::make_shared<SumServant>());
-      });
-  FaultPlan plan = build_plan(system, domain);
-
-  std::set<int> faulty_ranks;
-  for (const ElementFault& fault : plan.element_faults) {
-    if (fault.kind == ElementFault::Kind::kDissentingReplies) {
-      faulty_ranks.insert(fault.rank);
-    }
-  }
-
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const ElementFault& fault : injector.plan().element_faults) {
-    injector.arm_element(fault, system, domain);
-  }
-  for (const GmFault& fault : injector.plan().gm_faults) {
-    injector.arm_gm(fault, system);
-  }
-
-  Oracle oracle(system.sim().telemetry());
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    if (!faulty_ranks.contains(rank)) {
-      oracle.watch_replica(1, system.element(domain, rank).replica());
-    }
-  }
-
-  core::ItdosClient& client = system.add_client();
-  oracle.watch_party(client.party());
-  const orb::ObjectRef ref =
-      system.object_ref(domain, ObjectId(1), "IDL:fault/Sum:1.0");
-
-  std::size_t completed = 0;
+  Rig rig(seed);
+  const auto [domain, ref] = rig.add_domain<SumServant>();
+  rig.arm(build_plan(rig.system, domain), domain);
+  rig.watch({domain});
+  core::ItdosClient& client = rig.add_client();
   for (int i = 0; i < requests; ++i) {
-    const Result<cdr::Value> result = safe_invoke(
-        system, client, ref, "add",
-        cdr::Value::sequence({cdr::Value::int64(i), cdr::Value::int64(7)}),
-        seconds(30));
-    if (result.is_ok() && result.value().as_int64() == i + 7) ++completed;
+    rig.call(client, ref, "add", int_args({i, 7}), i + 7);
   }
-  system.settle();
-
-  oracle.check_liveness(completed, static_cast<std::size_t>(requests));
-  oracle.check_expulsions(system.gm_element(0).state());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = name;
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = static_cast<std::size_t>(requests);
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.trace_jsonl = hub.tracer().export_jsonl();
-  return result;
+  return rig.finish(name);
 }
 
 ScenarioResult run_itdos(const std::string& name, std::uint64_t seed,
@@ -415,14 +497,10 @@ ScenarioResult scenario_expel_rekey_e2e(std::uint64_t seed) {
   // The paper's §3.6 -> §3.5 pipeline end-to-end: a dissenting element is
   // outvoted, detected from the signed-message proof, expelled, and keyed
   // out by an epoch rekey — all while the client keeps getting right
-  // answers.
+  // answers. Misbehavior is sticky; expulsion IS the heal.
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // misbehavior is sticky; expulsion IS the heal
-  ElementFault fault;
-  fault.rank = 2;
-  fault.kind = ElementFault::Kind::kDissentingReplies;
-  plan.element_faults.push_back(fault);
+  plan.element_faults.push_back(
+      {.rank = 2, .kind = ElementFault::Kind::kDissentingReplies});
   return run_itdos("expel_rekey_e2e", seed, std::move(plan), 4);
 }
 
@@ -431,14 +509,12 @@ ScenarioResult scenario_bogus_change_request(std::uint64_t seed) {
   // correct peer. Replicated reporters are only believed at f+1 matching
   // reports (§3.6), so a lone rogue must never trigger an expulsion.
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{millis(100)};
-  ElementFault fault;
-  fault.rank = 1;
-  fault.kind = ElementFault::Kind::kBogusChangeRequests;
-  fault.victim_rank = 0;
-  fault.at = SimTime{millis(50)};  // after the first connection exists
-  plan.element_faults.push_back(fault);
+  plan.element_faults.push_back(
+      {.rank = 1,
+       .kind = ElementFault::Kind::kBogusChangeRequests,
+       .at = SimTime{millis(50)},  // after the first connection exists
+       .victim_rank = 0});
   return run_itdos("bogus_change_request", seed, std::move(plan), 4);
 }
 
@@ -455,22 +531,18 @@ ScenarioResult scenario_share_starvation(std::uint64_t seed) {
   // while the remaining three elements keep the client fully live. This is
   // the long-horizon scenario: BFT checkpoints, queue GC, laggard
   // detection and the virtual-synchrony break all only appear past ~130
-  // ordered entries.
+  // ordered entries. Expulsion IS the heal.
   return run_itdos_with(
       "share_starvation", seed,
-      [seed](const core::ItdosSystem& system, DomainId domain) {
-        const core::DomainInfo* info = system.directory().find_domain(domain);
+      [](const core::ItdosSystem& system, DomainId domain) {
         PartitionWindow window;
-        window.side_a.insert(info->elements[1].smiop_node);
+        window.side_a.insert(system.directory().find_domain(domain)->elements[1].smiop_node);
         for (const core::ElementInfo& gm : system.directory().gm().elements) {
           window.side_b.insert(gm.smiop_node);
         }
-        window.form = SimTime{0};
         window.heal = SimTime{seconds(30)};  // far past the run's traffic
         FaultPlan plan;
-        plan.seed = seed;
         plan.partitions.push_back(window);
-        plan.heal_time = SimTime{0};  // expulsion IS the heal (§3.6)
         return plan;
       },
       150);
@@ -478,69 +550,14 @@ ScenarioResult scenario_share_starvation(std::uint64_t seed) {
 
 ScenarioResult scenario_gm_withhold_shares(std::uint64_t seed) {
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};
-  GmFault fault;
-  fault.index = 0;
-  fault.withhold_shares = true;
-  plan.gm_faults.push_back(fault);
+  plan.gm_faults.push_back({.index = 0, .withhold_shares = true});
   return run_itdos("gm_withhold_shares", seed, std::move(plan), 4);
 }
 
 ScenarioResult scenario_gm_corrupt_shares(std::uint64_t seed) {
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};
-  GmFault fault;
-  fault.index = 0;
-  fault.corrupt_shares = true;
-  plan.gm_faults.push_back(fault);
+  plan.gm_faults.push_back({.index = 0, .corrupt_shares = true});
   return run_itdos("gm_corrupt_shares", seed, std::move(plan), 4);
-}
-
-// ---------------------------------------------------------------------------
-// Recovery scenarios: the expel -> replace -> rekey loop of src/recovery/,
-// including attacks on the recovery machinery itself (DESIGN.md §6d).
-// ---------------------------------------------------------------------------
-
-/// A stateful accumulator WITH persistence: recovery scenarios must move real
-/// servant state through the f+1 byte-identical bundle certification.
-class PersistentSum : public orb::Servant {
- public:
-  std::string interface_name() const override { return "IDL:fault/PSum:1.0"; }
-
-  void dispatch(const std::string& operation, const cdr::Value& args,
-                orb::ServerContext&, orb::ReplySinkPtr sink) override {
-    if (operation == "add") {
-      for (const auto& v : args.elements()) total_ += v.as_int64();
-      sink->reply(cdr::Value::int64(total_));
-    } else {
-      sink->reply(cdr::Value::int64(total_));
-    }
-  }
-
-  Result<Bytes> save_state() const override { return wire::encode(total_); }
-
-  Status load_state(ByteView state) override {
-    ITDOS_ASSIGN_OR_RETURN(total_, wire::decode<std::int64_t>(state));
-    return Status::ok();
-  }
-
- private:
-  std::int64_t total_ = 0;
-};
-
-// `element.<node>.entries_discarded` of each current element of `domain`,
-// by rank.
-std::vector<std::uint64_t> element_discards(core::ItdosSystem& system, DomainId domain) {
-  const auto& counters = system.sim().telemetry().metrics().counters();
-  std::vector<std::uint64_t> discards;
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    const NodeId node = system.element(domain, rank).smiop_node();
-    discards.push_back(
-        counters.at("element." + node.to_string() + ".entries_discarded").value());
-  }
-  return discards;
 }
 
 struct RecoverySpec {
@@ -548,42 +565,24 @@ struct RecoverySpec {
   bool corrupt_bundles = false;   // rank 0 serves corrupt state offers
   bool partition_joiner = false;  // isolate the joining identity mid-onboarding
   bool proactive = false;         // scheduler-driven rejuvenation, no faults
-  int requests = 6;
 };
 
 ScenarioResult run_recovery(const std::string& name, std::uint64_t seed,
                             const RecoverySpec& spec) {
-  core::SystemOptions options;
-  options.seed = seed;
-  core::ItdosSystem system(options);
-  const DomainId domain = system.add_domain(
-      1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
-        // Key 1 is free in a freshly built domain; activation cannot fail.
-        (void)adapter.activate_with_key(ObjectId(1),
-                                        std::make_shared<PersistentSum>());
-      });
+  Rig rig(seed);
+  const auto [domain, ref] = rig.add_domain<PersistentSum>();
+  core::ItdosSystem& system = rig.system;
 
-  FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // expulsion + replacement IS the heal
+  FaultPlan plan;  // expulsion + replacement IS the heal
   if (spec.dissent) {
-    ElementFault fault;
-    fault.rank = 2;
-    fault.kind = ElementFault::Kind::kDissentingReplies;
-    plan.element_faults.push_back(fault);
+    plan.element_faults.push_back(
+        {.rank = 2, .kind = ElementFault::Kind::kDissentingReplies});
   }
   if (spec.corrupt_bundles) {
-    ElementFault fault;
-    fault.rank = 0;
-    fault.kind = ElementFault::Kind::kCorruptStateBundles;
-    plan.element_faults.push_back(fault);
+    plan.element_faults.push_back(
+        {.rank = 0, .kind = ElementFault::Kind::kCorruptStateBundles});
   }
-
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const ElementFault& fault : injector.plan().element_faults) {
-    injector.arm_element(fault, system, domain);
-  }
+  rig.arm(std::move(plan), domain);
 
   recovery::RecoveryConfig config =
       recovery::RecoveryConfig::from_timing(system.directory().timing());
@@ -596,18 +595,8 @@ ScenarioResult run_recovery(const std::string& name, std::uint64_t seed,
   }
   recovery::RecoveryManager manager(system, config);
   manager.watch();
-
-  Oracle oracle(system.sim().telemetry());
-  oracle.watch_recovery(manager);
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    if (!(spec.dissent && rank == 2)) {
-      oracle.watch_replica(1, system.element(domain, rank).replica());
-    }
-  }
+  rig.watch_recovery(manager);
+  rig.watch({domain});
 
   // The partition attack forms around identities that only exist once the
   // manager picks them, so it triggers off the first kStarted event: the
@@ -639,21 +628,9 @@ ScenarioResult run_recovery(const std::string& name, std::uint64_t seed,
     });
   }
 
-  core::ItdosClient& client = system.add_client();
-  oracle.watch_party(client.party());
-  const orb::ObjectRef ref =
-      system.object_ref(domain, ObjectId(1), "IDL:fault/PSum:1.0");
-
-  std::size_t sent = 0;
-  std::size_t completed = 0;
+  core::ItdosClient& client = rig.add_client();
   const auto drive = [&](int count) {
-    for (int i = 0; i < count; ++i) {
-      ++sent;
-      const Result<cdr::Value> result = safe_invoke(
-          system, client, ref, "add",
-          cdr::Value::sequence({cdr::Value::int64(1)}), seconds(30));
-      if (result.is_ok()) ++completed;
-    }
+    for (int i = 0; i < count; ++i) rig.call(client, ref, "add", int_args({1}));
   };
 
   std::optional<recovery::ProactiveScheduler> scheduler;
@@ -670,35 +647,13 @@ ScenarioResult run_recovery(const std::string& name, std::uint64_t seed,
     }
     scheduler->stop();
   } else {
-    drive(spec.requests);
+    drive(6);
   }
   system.settle();
   drive(2);  // the restored 3f+1 domain must serve fresh requests
-  system.settle();
 
-  oracle.check_liveness(completed, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-  oracle.check_membership(system.gm_element(0).state(), system.directory());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = name;
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.membership_updates =
-      hub.tracer().count(telemetry::TraceKind::kGmMembershipUpdate);
-  result.recoveries_started = manager.stats().started;
-  result.recoveries_completed = manager.stats().completed;
-  result.recoveries_aborted = manager.stats().aborted;
-  result.last_mttr_ns = manager.stats().last_mttr_ns;
-  result.element_discards = element_discards(system, domain);
-  result.trace_jsonl = hub.tracer().export_jsonl();
+  ScenarioResult result = rig.finish(name);
+  result.element_discards = rig.element_discards(domain);
   return result;
 }
 
@@ -707,9 +662,7 @@ ScenarioResult scenario_expel_replace_recover(std::uint64_t seed) {
   // proof, the recovery manager admits a fresh identity through an ordered
   // membership_update, certified state and epoch-refreshed keys install,
   // and the domain is back at 3f+1 serving requests.
-  RecoverySpec spec;
-  spec.dissent = true;
-  return run_recovery("expel_replace_recover", seed, spec);
+  return run_recovery("expel_replace_recover", seed, {.dissent = true});
 }
 
 ScenarioResult scenario_recovery_corrupt_state_offer(std::uint64_t seed) {
@@ -717,10 +670,8 @@ ScenarioResult scenario_recovery_corrupt_state_offer(std::uint64_t seed) {
   // corrupted state offers to the joining element. The f+1 byte-identical
   // bundle rule must mask it — two honest matching offers out-vote the
   // corrupt one and onboarding completes cleanly.
-  RecoverySpec spec;
-  spec.dissent = true;
-  spec.corrupt_bundles = true;
-  return run_recovery("recovery_corrupt_state_offer", seed, spec);
+  return run_recovery("recovery_corrupt_state_offer", seed,
+                      {.dissent = true, .corrupt_bundles = true});
 }
 
 ScenarioResult scenario_recovery_partition_onboarding(std::uint64_t seed) {
@@ -729,10 +680,8 @@ ScenarioResult scenario_recovery_partition_onboarding(std::uint64_t seed) {
   // attempt (clean retirement, never a forked domain) and the retry must
   // complete once the partition heals — MTTR inside the multi-attempt
   // budget.
-  RecoverySpec spec;
-  spec.dissent = true;
-  spec.partition_joiner = true;
-  return run_recovery("recovery_partition_onboarding", seed, spec);
+  return run_recovery("recovery_partition_onboarding", seed,
+                      {.dissent = true, .partition_joiner = true});
 }
 
 ScenarioResult scenario_proactive_rejuvenation(std::uint64_t seed) {
@@ -740,9 +689,7 @@ ScenarioResult scenario_proactive_rejuvenation(std::uint64_t seed) {
   // domain through periodic restart-from-certified-state with fresh keys,
   // staggered so the domain never drops below 3f live elements and client
   // traffic keeps completing throughout.
-  RecoverySpec spec;
-  spec.proactive = true;
-  return run_recovery("proactive_rejuvenation", seed, spec);
+  return run_recovery("proactive_rejuvenation", seed, {.proactive = true});
 }
 
 ScenarioResult scenario_client_replay_storm(std::uint64_t seed) {
@@ -750,79 +697,27 @@ ScenarioResult scenario_client_replay_storm(std::uint64_t seed) {
   // replays the previous sealed GIOP frame each round. Both arrive with
   // already-consumed request ids, so every element must discard them
   // identically (§3.6 stale-rid rule) — a split decision would fork the
-  // domain state.
-  core::SystemOptions options;
-  options.seed = seed;
-  core::ItdosSystem system(options);
-  const DomainId domain = system.add_domain(
-      1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
-        // Key 1 is free in a freshly built domain; activation cannot fail.
-        (void)adapter.activate_with_key(ObjectId(1),
-                                        std::make_shared<SumServant>());
-      });
+  // domain state. Misbehavior is masked, never healed.
+  Rig rig(seed);
+  const auto [domain, ref] = rig.add_domain<SumServant>();
 
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // misbehavior is masked, never healed
   for (const ClientFault::Kind kind : {ClientFault::Kind::kDuplicateRequests,
                                        ClientFault::Kind::kReplayStaleFrames}) {
-    ClientFault fault;
-    fault.client_index = 1;
-    fault.kind = kind;
-    plan.client_faults.push_back(fault);
+    plan.client_faults.push_back({.client_index = 1, .kind = kind});
   }
+  core::ItdosClient& honest = rig.add_client();
+  core::ItdosClient& rogue = rig.system.add_client();
+  rig.arm(std::move(plan), domain, {&honest, &rogue});
+  rig.watch({domain});
 
-  core::ItdosClient& honest = system.add_client();
-  core::ItdosClient& rogue = system.add_client();
-
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const ClientFault& fault : injector.plan().client_faults) {
-    injector.arm_client(fault, fault.client_index == 0 ? honest : rogue);
-  }
-
-  Oracle oracle(system.sim().telemetry());
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    oracle.watch_replica(1, system.element(domain, rank).replica());
-  }
-  oracle.watch_party(honest.party());
-
-  const orb::ObjectRef ref =
-      system.object_ref(domain, ObjectId(1), "IDL:fault/Sum:1.0");
-  std::size_t sent = 0;
-  std::size_t completed = 0;
   for (int round = 0; round < 6; ++round) {
     for (core::ItdosClient* who : {&rogue, &honest}) {
-      ++sent;
-      const Result<cdr::Value> result = safe_invoke(
-          system, *who, ref, "add",
-          cdr::Value::sequence({cdr::Value::int64(round), cdr::Value::int64(7)}),
-          seconds(30));
-      if (result.is_ok() && result.value().as_int64() == round + 7) ++completed;
+      rig.call(*who, ref, "add", int_args({round, 7}), round + 7);
     }
   }
-  system.settle();
-
-  oracle.check_liveness(completed, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = "client_replay_storm";
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.element_discards = element_discards(system, domain);
-  result.trace_jsonl = hub.tracer().export_jsonl();
+  ScenarioResult result = rig.finish("client_replay_storm");
+  result.element_discards = rig.element_discards(domain);
   return result;
 }
 
@@ -858,10 +753,11 @@ std::set<NodeId> domain_nodes(core::ItdosSystem& system, DomainId domain) {
   return nodes;
 }
 
-cdr::Value bank_args(std::initializer_list<std::int64_t> values) {
-  std::vector<cdr::Value> elems;
-  for (const std::int64_t v : values) elems.push_back(cdr::Value::int64(v));
-  return cdr::Value::sequence(std::move(elems));
+/// Two account shards behind one teller domain, one client, eight accounts.
+shard::Bank build_bank(core::ItdosSystem& system) {
+  shard::BankSpec spec;
+  spec.accounts = 8;
+  return shard::Bank::build(system, spec);
 }
 
 ScenarioResult scenario_cross_domain_partition_mid_call(std::uint64_t seed) {
@@ -873,97 +769,52 @@ ScenarioResult scenario_cross_domain_partition_mid_call(std::uint64_t seed) {
   // transfer must complete exactly once afterwards, and nobody may be
   // expelled for a stall the NETWORK caused.
   core::SystemOptions options;
-  options.seed = seed;
   // The pending cross-domain vote must out-wait the partition window, not
   // be GC'd into an error halfway through it.
   options.timing.reply_vote_timeout_ns = seconds(5);
-  core::ItdosSystem system(options);
-
-  shard::BankSpec spec;
-  spec.shards = 2;
-  spec.tellers = 1;
-  spec.clients = 1;
-  spec.accounts = 8;
-  shard::Bank bank = shard::Bank::build(system, spec);
+  Rig rig(seed, options);
+  shard::Bank bank = build_bank(rig.system);
 
   const ObjectId from = bank.accounts_of_shard(0).front();
   const ObjectId to = bank.accounts_of_shard(1).front();
   const DomainId teller = bank.topology().front_domains().front();
   const DomainId callee = bank.topology().route(from);
 
-  Oracle oracle(system.sim().telemetry());
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  int group = 1;
-  for (const DomainId domain :
-       {teller, bank.topology().shard_domains()[0],
-        bank.topology().shard_domains()[1]}) {
-    for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-      oracle.watch_replica(group, system.element(domain, rank).replica());
-    }
-    ++group;
-  }
-  oracle.watch_party(bank.client().party());
+  rig.watch({teller, bank.topology().shard_domains()[0],
+             bank.topology().shard_domains()[1]});
+  rig.oracle.watch_party(bank.client().party());
 
-  std::size_t sent = 0;
-  std::size_t completed = 0;
-  std::int64_t from_balance = spec.initial_balance;
+  std::int64_t from_balance = shard::BankSpec{}.initial_balance;
   const auto transfer = [&](std::int64_t timeout_ns) {
-    ++sent;
-    const Result<cdr::Value> result = safe_invoke(
-        system, bank.client(), bank.teller_ref(), "transfer",
-        bank_args({static_cast<std::int64_t>(from.value),
-                   static_cast<std::int64_t>(to.value), 50}),
-        timeout_ns);
     from_balance -= 50;
-    if (result.is_ok() && result.value().as_int64() == from_balance) {
-      ++completed;
-    }
+    rig.call(bank.client(), bank.teller_ref(), "transfer",
+             int_args({static_cast<std::int64_t>(from.value),
+                       static_cast<std::int64_t>(to.value), 50}),
+             from_balance, timeout_ns);
   };
 
   // Warm-up: routes the full nested path once (GM virtual connections on
   // both hops) and measures the round-trip the partition must interrupt.
-  const SimTime before = system.sim().now();
+  const SimTime before = rig.system.sim().now();
   transfer(seconds(10));
-  const std::int64_t round_trip = system.sim().now().ns - before.ns;
+  const std::int64_t round_trip = rig.system.sim().now().ns - before.ns;
 
   // Cut teller <-> callee traffic from halfway into the next transfer's
   // round-trip: the client->teller hop is already ordered, the nested hop
   // is mid-flight. Heal well within the (raised) vote timeout.
   PartitionWindow window;
-  window.side_a = domain_nodes(system, teller);
-  window.side_b = domain_nodes(system, callee);
-  window.form = SimTime{system.sim().now().ns + round_trip / 2};
+  window.side_a = domain_nodes(rig.system, teller);
+  window.side_b = domain_nodes(rig.system, callee);
+  window.form = SimTime{rig.system.sim().now().ns + round_trip / 2};
   window.heal = SimTime{window.form.ns + 2 * round_trip + millis(150)};
   FaultPlan plan;
-  plan.seed = seed;
   plan.partitions.push_back(window);
   plan.heal_time = window.heal;
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
+  rig.arm(std::move(plan), callee);
 
   transfer(seconds(30));  // rides through the partition, completes post-heal
   transfer(seconds(10));  // post-heal: the cross-domain route is live again
-
-  system.settle();
-  oracle.check_liveness(completed, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = "cross_domain_partition_mid_call";
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.trace_jsonl = hub.tracer().export_jsonl();
-  return result;
+  return rig.finish("cross_domain_partition_mid_call");
 }
 
 ScenarioResult scenario_callee_expulsion_mid_nested_call(std::uint64_t seed) {
@@ -973,16 +824,9 @@ ScenarioResult scenario_callee_expulsion_mid_nested_call(std::uint64_t seed) {
   // element files its own change_request, and the GM's f+1-matching-reports
   // rule for replicated reporters (§3.6) expels the callee element — all
   // while the client's deposits keep completing with right answers.
-  core::SystemOptions options;
-  options.seed = seed;
-  core::ItdosSystem system(options);
-
-  shard::BankSpec spec;
-  spec.shards = 2;
-  spec.tellers = 1;
-  spec.clients = 1;
-  spec.accounts = 8;
-  shard::Bank bank = shard::Bank::build(system, spec);
+  // Misbehavior is sticky; expulsion IS the heal.
+  Rig rig(seed);
+  shard::Bank bank = build_bank(rig.system);
 
   const ObjectId account = bank.accounts_of_shard(0).front();
   const DomainId teller = bank.topology().front_domains().front();
@@ -990,66 +834,18 @@ ScenarioResult scenario_callee_expulsion_mid_nested_call(std::uint64_t seed) {
   const DomainId other = bank.topology().shard_domains()[1];
 
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // misbehavior is sticky; expulsion IS the heal
-  ElementFault fault;
-  fault.rank = 2;
-  fault.kind = ElementFault::Kind::kDissentingReplies;
-  plan.element_faults.push_back(fault);
+  plan.element_faults.push_back(
+      {.rank = 2, .kind = ElementFault::Kind::kDissentingReplies});
+  rig.arm(std::move(plan), callee);
+  rig.watch({teller, callee, other});
+  rig.oracle.watch_party(bank.client().party());
 
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const ElementFault& element_fault : injector.plan().element_faults) {
-    injector.arm_element(element_fault, system, callee);
-  }
-
-  Oracle oracle(system.sim().telemetry());
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(teller); ++rank) {
-    oracle.watch_replica(1, system.element(teller, rank).replica());
-  }
-  for (int rank = 0; rank < system.domain_n(callee); ++rank) {
-    if (rank == fault.rank) continue;  // the dissenter is not "correct"
-    oracle.watch_replica(2, system.element(callee, rank).replica());
-  }
-  for (int rank = 0; rank < system.domain_n(other); ++rank) {
-    oracle.watch_replica(3, system.element(other, rank).replica());
-  }
-  oracle.watch_party(bank.client().party());
-
-  std::size_t sent = 0;
-  std::size_t completed = 0;
   for (int round = 1; round <= 6; ++round) {
-    ++sent;
-    const Result<cdr::Value> result = safe_invoke(
-        system, bank.client(), bank.teller_ref(), "deposit",
-        bank_args({static_cast<std::int64_t>(account.value), 7}), seconds(30));
-    if (result.is_ok() &&
-        result.value().as_int64() == spec.initial_balance + 7 * round) {
-      ++completed;
-    }
+    rig.call(bank.client(), bank.teller_ref(), "deposit",
+             int_args({static_cast<std::int64_t>(account.value), 7}),
+             shard::BankSpec{}.initial_balance + 7 * round);
   }
-  system.settle();
-
-  oracle.check_liveness(completed, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = "callee_expulsion_mid_nested_call";
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.trace_jsonl = hub.tracer().export_jsonl();
-  return result;
+  return rig.finish("callee_expulsion_mid_nested_call");
 }
 
 // ---------------------------------------------------------------------------
@@ -1057,16 +853,6 @@ ScenarioResult scenario_callee_expulsion_mid_nested_call(std::uint64_t seed) {
 // adaptive adversary that re-aims at the deepest-queue element from live
 // telemetry, with and without the response controller fighting back.
 // ---------------------------------------------------------------------------
-
-std::uint64_t sum_shed_gauges(const telemetry::MetricsRegistry& registry) {
-  std::uint64_t total = 0;
-  for (const auto& [gauge_name, gauge] : registry.gauges()) {
-    if (gauge_name.starts_with("admission.") && gauge_name.ends_with(".shed")) {
-      total += static_cast<std::uint64_t>(gauge.value());
-    }
-  }
-  return total;
-}
 
 ScenarioResult scenario_adaptive_adversary_overload(std::uint64_t seed) {
   // Bounded admission under concurrent overload, hunted by an adaptive
@@ -1077,116 +863,64 @@ ScenarioResult scenario_adaptive_adversary_overload(std::uint64_t seed) {
   // serve plain requests again — admission control may say "no", but it may
   // not say it forever.
   core::SystemOptions options;
-  options.seed = seed;
   options.timing.ack_interval = 2;         // tight GC: drained queues reopen fast
   options.timing.admission_max_depth = 12; // well above the post-drain residual
-  core::ItdosSystem system(options);
-  const DomainId domain = system.add_domain(
-      1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
-        // Key 1 is free in a freshly built domain; activation cannot fail.
-        (void)adapter.activate_with_key(ObjectId(1),
-                                        std::make_shared<SumServant>());
-      });
+  Rig rig(seed, options);
+  const auto [domain, ref] = rig.add_domain<SumServant>();
 
   FaultPlan plan;
-  plan.seed = seed;
   plan.heal_time = SimTime{millis(500)};
-  AdaptiveFault adaptive;
-  adaptive.window.until = plan.heal_time;
-  adaptive.interval_ns = millis(20);
-  adaptive.delay_probability = 0.4;
-  adaptive.delay_min_ns = micros(200);
-  adaptive.delay_max_ns = millis(2);
-  plan.adaptive_faults.push_back(adaptive);
-
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const AdaptiveFault& fault : injector.plan().adaptive_faults) {
-    injector.arm_adaptive(fault, system, domain);
-  }
-
-  Oracle oracle(system.sim().telemetry());
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    // The adversary only touches the network; every element stays correct
-    // and stays watched.
-    oracle.watch_replica(1, system.element(domain, rank).replica());
-  }
+  plan.adaptive_faults.push_back({.window = {.until = plan.heal_time},
+                                  .interval_ns = millis(20),
+                                  .delay_probability = 0.4,
+                                  .delay_min_ns = micros(200),
+                                  .delay_max_ns = millis(2)});
+  const SimTime heal = plan.heal_time;
+  rig.arm(std::move(plan), domain);
+  // The adversary only touches the network; every element stays correct
+  // and stays watched.
+  rig.watch({domain});
 
   constexpr int kConcurrentClients = 16;
   constexpr int kRounds = 4;
   std::vector<core::ItdosClient*> clients;
-  for (int i = 0; i < kConcurrentClients; ++i) {
-    clients.push_back(&system.add_client());
-    oracle.watch_party(clients.back()->party());
-  }
-  const orb::ObjectRef ref =
-      system.object_ref(domain, ObjectId(1), "IDL:fault/Sum:1.0");
+  for (int i = 0; i < kConcurrentClients; ++i) clients.push_back(&rig.add_client());
 
-  std::size_t sent = 0;
-  auto ok = std::make_shared<std::size_t>(0);
+  // An explicit OVERLOAD reply is a deterministic, voted answer: for the
+  // liveness rule it counts as completion (the request was not lost, it was
+  // refused — and the refusal itself cleared f+1 matching ballots).
   auto overloaded = std::make_shared<std::size_t>(0);
   for (int round = 0; round < kRounds; ++round) {
     // The whole pool fires at once: depth at the replicated queues spikes
     // past max_depth and admission MUST kick in — deterministically.
     auto round_done = std::make_shared<int>(0);
     for (core::ItdosClient* client : clients) {
-      ++sent;
+      ++rig.sent;
       client->orb().invoke(
-          ref, "add",
-          cdr::Value::sequence({cdr::Value::int64(round), cdr::Value::int64(7)}),
-          [ok, overloaded, round_done](Result<cdr::Value> r) {
+          ref, "add", int_args({round, 7}),
+          [&rig, overloaded, round_done](Result<cdr::Value> r) {
             ++*round_done;
             if (r.is_ok()) {
-              ++*ok;
+              ++rig.completed;
             } else if (r.status().code() == Errc::kResourceExhausted) {
               ++*overloaded;
+              ++rig.completed;
             }
           });
     }
-    const SimTime deadline = system.sim().now() + seconds(20);
-    while (*round_done < kConcurrentClients && system.sim().now() < deadline) {
-      if (!system.sim().step()) break;
+    const SimTime deadline = rig.system.sim().now() + seconds(20);
+    while (*round_done < kConcurrentClients && rig.system.sim().now() < deadline) {
+      if (!rig.system.sim().step()) break;
     }
   }
 
   // Past the adversary's window and with the burst drained, a plain serial
   // request must get a real answer — shed-forever IS starvation.
-  system.sim().run_until(SimTime{plan.heal_time.ns + millis(50)});
-  for (int i = 0; i < 2; ++i) {
-    ++sent;
-    const Result<cdr::Value> result = safe_invoke(
-        system, *clients[0], ref, "add",
-        cdr::Value::sequence({cdr::Value::int64(1), cdr::Value::int64(2)}),
-        seconds(30));
-    if (result.is_ok() && result.value().as_int64() == 3) ++*ok;
-  }
-  system.settle();
+  rig.system.sim().run_until(SimTime{heal.ns + millis(50)});
+  for (int i = 0; i < 2; ++i) rig.call(*clients[0], ref, "add", int_args({1, 2}), 3);
 
-  // An explicit OVERLOAD reply is a deterministic, voted answer: for the
-  // liveness rule it counts as completion (the request was not lost, it was
-  // refused — and the refusal itself cleared f+1 matching ballots).
-  oracle.check_liveness(*ok + *overloaded, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = "adaptive_adversary_overload";
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = *ok + *overloaded;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.sheds = sum_shed_gauges(hub.metrics());
+  ScenarioResult result = rig.finish("adaptive_adversary_overload");
   result.overloads = *overloaded;
-  result.adaptive_retargets = injector.retargets();
-  result.trace_jsonl = hub.tracer().export_jsonl();
   return result;
 }
 
@@ -1196,119 +930,52 @@ ScenarioResult scenario_adaptive_adversary_vs_controller(std::uint64_t seed) {
   // controller on the other. The controller starts conservative (2 strikes,
   // resting rejuvenation period), turns aggressive when the dissent shows up
   // in the suspicion counters, and stands back down once the domain is calm
-  // — every move ordered through the GM and traced.
-  core::SystemOptions options;
-  options.seed = seed;
-  core::ItdosSystem system(options);
-  const DomainId domain = system.add_domain(
-      1, core::VotePolicy::exact(), [](orb::ObjectAdapter& adapter, int) {
-        // Key 1 is free in a freshly built domain; activation cannot fail.
-        (void)adapter.activate_with_key(ObjectId(1),
-                                        std::make_shared<PersistentSum>());
-      });
+  // — every move ordered through the GM and traced. Expulsion + replacement
+  // IS the heal.
+  Rig rig(seed);
+  const auto [domain, ref] = rig.add_domain<PersistentSum>();
 
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};  // expulsion + replacement IS the heal
-  ElementFault dissent;
-  dissent.rank = 2;
-  dissent.kind = ElementFault::Kind::kDissentingReplies;
-  dissent.at = SimTime{millis(20)};
-  plan.element_faults.push_back(dissent);
-  AdaptiveFault adaptive;
-  adaptive.window.until = SimTime{millis(800)};
-  adaptive.interval_ns = millis(25);
-  adaptive.delay_probability = 0.3;
-  adaptive.delay_min_ns = micros(100);
-  adaptive.delay_max_ns = millis(1);
-  plan.adaptive_faults.push_back(adaptive);
+  plan.element_faults.push_back({.rank = 2,
+                                 .kind = ElementFault::Kind::kDissentingReplies,
+                                 .at = SimTime{millis(20)}});
+  plan.adaptive_faults.push_back({.window = {.until = SimTime{millis(800)}},
+                                  .interval_ns = millis(25),
+                                  .delay_probability = 0.3,
+                                  .delay_min_ns = micros(100),
+                                  .delay_max_ns = millis(1)});
+  rig.arm(std::move(plan), domain);
 
-  FaultInjector injector(system.network(), plan);
-  injector.arm_links();
-  for (const ElementFault& fault : injector.plan().element_faults) {
-    injector.arm_element(fault, system, domain);
-  }
-  for (const AdaptiveFault& fault : injector.plan().adaptive_faults) {
-    injector.arm_adaptive(fault, system, domain);
-  }
-
-  recovery::RecoveryManager manager(system);
+  recovery::RecoveryManager manager(rig.system);
   manager.watch();
   recovery::ProactiveScheduler scheduler(manager, seconds(1));
-  scheduler.add_domain(domain, system.domain_n(domain));
+  scheduler.add_domain(domain, rig.system.domain_n(domain));
   scheduler.start();
 
   control::ResponseControllerOptions copts;
   copts.interval_ns = millis(50);
   copts.law.min_period_ns = millis(300);  // floor the rotation rate: a short
                                           // run must not thrash recovery
-  control::ResponseController controller(system, manager, scheduler, copts);
+  control::ResponseController controller(rig.system, manager, scheduler, copts);
   controller.start();
 
-  Oracle oracle(system.sim().telemetry());
-  oracle.watch_recovery(manager);
-  for (int i = 0; i < system.gm_n(); ++i) {
-    oracle.watch_replica(0, system.gm_element(i).replica());
-    oracle.watch_gm(system.gm_element(i));
-  }
-  for (int rank = 0; rank < system.domain_n(domain); ++rank) {
-    if (rank != dissent.rank) {
-      oracle.watch_replica(1, system.element(domain, rank).replica());
-    }
-  }
+  rig.watch_recovery(manager);
+  rig.watch({domain});
+  core::ItdosClient& client = rig.add_client();
 
-  core::ItdosClient& client = system.add_client();
-  oracle.watch_party(client.party());
-  const orb::ObjectRef ref =
-      system.object_ref(domain, ObjectId(1), "IDL:fault/PSum:1.0");
-
-  std::size_t sent = 0;
-  std::size_t completed = 0;
   // Traffic interleaved with idle windows: the duel needs wall-clock (sim
   // time) for retargets, control ticks and recovery cycles to play out.
   for (int round = 0; round < 8; ++round) {
-    ++sent;
-    const Result<cdr::Value> result = safe_invoke(
-        system, client, ref, "add",
-        cdr::Value::sequence({cdr::Value::int64(1)}), seconds(30));
-    if (result.is_ok()) ++completed;
-    system.sim().run_for(millis(100));
+    rig.call(client, ref, "add", int_args({1}));
+    rig.system.sim().run_for(millis(100));
   }
   scheduler.stop();
   controller.stop();
-  system.settle();
-  ++sent;
-  const Result<cdr::Value> last = safe_invoke(
-      system, client, ref, "add", cdr::Value::sequence({cdr::Value::int64(1)}),
-      seconds(30));
-  if (last.is_ok()) ++completed;
-  system.settle();
+  rig.system.settle();
+  rig.call(client, ref, "add", int_args({1}));
 
-  oracle.check_liveness(completed, sent);
-  oracle.check_expulsions(system.gm_element(0).state());
-  oracle.check_membership(system.gm_element(0).state(), system.directory());
-
-  const telemetry::Hub& hub = system.sim().telemetry();
-  ScenarioResult result;
-  result.name = "adaptive_adversary_vs_controller";
-  result.seed = seed;
-  result.violations = oracle.violations();
-  result.requests_sent = sent;
-  result.requests_completed = completed;
-  result.expulsions = system.gm_element(0).state().expulsions();
-  result.detection = result.expulsions > 0;
-  result.rekeys = hub.tracer().count(telemetry::TraceKind::kGmRekey);
-  result.view_changes = hub.tracer().count(telemetry::TraceKind::kBftNewView);
-  result.membership_updates =
-      hub.tracer().count(telemetry::TraceKind::kGmMembershipUpdate);
-  result.recoveries_started = manager.stats().started;
-  result.recoveries_completed = manager.stats().completed;
-  result.recoveries_aborted = manager.stats().aborted;
-  result.last_mttr_ns = manager.stats().last_mttr_ns;
-  result.sheds = sum_shed_gauges(hub.metrics());
-  result.adaptive_retargets = injector.retargets();
+  ScenarioResult result = rig.finish("adaptive_adversary_vs_controller");
   result.control_adjustments = controller.adjustments();
-  result.trace_jsonl = hub.tracer().export_jsonl();
   return result;
 }
 
@@ -1363,13 +1030,9 @@ ScenarioResult run_scenario(const std::string& name, std::uint64_t seed) {
 
 ScenarioResult run_silent_replicas(int silent_count, std::uint64_t seed) {
   FaultPlan plan;
-  plan.seed = seed;
-  plan.heal_time = SimTime{0};
   for (int i = 0; i < silent_count; ++i) {
-    ReplicaFault fault;
-    fault.rank = 3 - i;  // mute from the highest rank down
-    fault.silent = true;
-    plan.replica_faults.push_back(fault);
+    // Mute from the highest rank down.
+    plan.replica_faults.push_back({.rank = 3 - i, .silent = true});
   }
   return run_cluster("silent_x" + std::to_string(silent_count), seed,
                      std::move(plan), 4, seconds(5));
